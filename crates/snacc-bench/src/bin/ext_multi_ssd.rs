@@ -14,11 +14,11 @@ use snacc_mem::{AddrRange, HostMemory};
 use snacc_nvme::{NvmeDeviceHandle, NvmeProfile};
 use snacc_pcie::target::HostMemTarget;
 use snacc_pcie::{PcieFabric, HOST_NODE};
-use snacc_sim::Engine;
+use snacc_sim::{Engine, EngineError, Payload};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-fn aggregate_write_bw(n_ssds: usize) -> f64 {
+fn aggregate_write_bw(n_ssds: usize) -> Result<f64, EngineError> {
     let mut en = Engine::new();
     let mut fabric = PcieFabric::new();
     let hostmem = Rc::new(RefCell::new(HostMemory::default()));
@@ -47,12 +47,13 @@ fn aggregate_write_bw(n_ssds: usize) -> f64 {
     // Stream 1 GiB of striped writes, paced by responses.
     let total: u64 = 1 << 30;
     let stripe_batch: u64 = (n_ssds as u64) << 20;
-    let data: Vec<u8> = (0..stripe_batch).map(|i| i as u8).collect();
+    // One shared batch buffer: every stripe beat is a window of it.
+    let data = Payload::from_vec((0..stripe_batch).map(|i| i as u8).collect());
     let t0 = en.now();
     let mut off = 0u64;
     while off < total {
-        multi.write_striped(&mut en, off, &data);
-        en.run();
+        multi.write_striped(&mut en, off, &data)?;
+        en.try_run()?;
         off += stripe_batch;
     }
     // Drain responses.
@@ -61,14 +62,17 @@ fn aggregate_write_bw(n_ssds: usize) -> f64 {
         while axis::pop(&ports.wr_resp, &mut en).is_some() {}
     }
     let dt = en.now().since(t0).as_secs_f64();
-    total as f64 / 1e9 / dt
+    Ok(total as f64 / 1e9 / dt)
 }
 
 fn main() {
     let telemetry = Telemetry::from_args();
     let mut records = Vec::new();
     for n in 1..=4usize {
-        let bw = aggregate_write_bw(n);
+        let bw = aggregate_write_bw(n).unwrap_or_else(|e| {
+            eprintln!("ext_multi_ssd: {n} SSD(s): {e}");
+            std::process::exit(1)
+        });
         println!("{n} SSD(s): {bw:.2} GB/s aggregate sequential write");
         records.push(BenchRecord::new(
             "ext_multi_ssd",

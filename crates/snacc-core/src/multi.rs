@@ -9,8 +9,10 @@
 //! instances, hiding each SSD's latency behind the others.
 
 use crate::streamer::{encode_read_cmd, StreamerHandle};
-use snacc_fpga::axis::{self, StreamBeat};
-use snacc_sim::Engine;
+use snacc_fpga::axis::{self, AxisChannel, StreamBeat};
+use snacc_sim::{Engine, EngineError, Payload};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// A stripe-set over multiple streamers (one per SSD).
 pub struct MultiSsd {
@@ -67,49 +69,70 @@ impl MultiSsd {
     /// Fan a write of `data` at logical address `addr` across the members
     /// (one write transfer per stripe piece), respecting each member's
     /// stream backpressure by stepping the engine while a channel is full.
-    pub fn write_striped(&self, en: &mut Engine, addr: u64, data: &[u8]) {
-        let mut logical_off = 0u64;
+    /// Every beat is a zero-copy window of `data`. Returns
+    /// [`EngineError::Drained`] if the queue runs dry while a channel is
+    /// still full, or the engine's own error if stepping fails.
+    pub fn write_striped(
+        &self,
+        en: &mut Engine,
+        addr: u64,
+        data: &Payload,
+    ) -> Result<(), EngineError> {
+        let mut logical_off = 0usize;
         for (member, member_addr, take_len) in self.stripe_extent(addr, data.len() as u64) {
             let ports = self.streamers[member].ports();
             let header = StreamBeat::mid(member_addr.to_le_bytes().to_vec());
-            while !axis::push(&ports.wr_in, en, header.clone()) {
-                assert!(en.step(), "multi-SSD writer stalled on header");
-            }
-            // Share the stripe piece once; per-chunk beats are zero-copy
-            // windows into it.
-            let payload = snacc_sim::Payload::from(
-                &data[logical_off as usize..(logical_off + take_len) as usize],
-            );
-            let plen = payload.len();
-            let mut coff = 0usize;
-            while coff < plen {
-                let cend = (coff + (64 << 10)).min(plen);
+            push_blocking(en, &ports.wr_in, header, "multi-SSD write header")?;
+            let piece_end = logical_off + take_len as usize;
+            let mut coff = logical_off;
+            while coff < piece_end {
+                let cend = (coff + (64 << 10)).min(piece_end);
                 let beat = StreamBeat {
-                    data: payload.slice(coff..cend),
-                    last: cend == plen,
+                    data: data.slice(coff..cend),
+                    last: cend == piece_end,
                 };
+                push_blocking(en, &ports.wr_in, beat, "multi-SSD write data")?;
                 coff = cend;
-                let mut pending = Some(beat);
-                while let Some(b) = pending.take() {
-                    if !axis::push(&ports.wr_in, en, b.clone()) {
-                        pending = Some(b);
-                        assert!(en.step(), "multi-SSD writer stalled on data");
-                    }
-                }
             }
-            logical_off += take_len;
+            logical_off = piece_end;
         }
+        Ok(())
     }
 
     /// Issue a striped read for `(addr, len)`; data arrives on each
-    /// member's `rd_data` port in stripe order per member.
-    pub fn read_striped(&self, en: &mut Engine, addr: u64, len: u64) {
+    /// member's `rd_data` port in stripe order per member. Returns
+    /// [`EngineError::Drained`] if a member's command channel is full
+    /// (the reader does not step the engine).
+    pub fn read_striped(&self, en: &mut Engine, addr: u64, len: u64) -> Result<(), EngineError> {
         for (member, member_addr, take) in self.stripe_extent(addr, len) {
             let ports = self.streamers[member].ports();
-            let ok = axis::push(&ports.rd_cmd, en, encode_read_cmd(member_addr, take));
-            assert!(ok, "multi-SSD reader assumes headroom");
+            if !axis::push(&ports.rd_cmd, en, encode_read_cmd(member_addr, take)) {
+                return Err(EngineError::Drained {
+                    now: en.now(),
+                    waiting_on: "multi-SSD read command headroom",
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Push `beat` into `ch`, stepping the engine while the channel is full.
+fn push_blocking(
+    en: &mut Engine,
+    ch: &Rc<RefCell<AxisChannel>>,
+    beat: StreamBeat,
+    waiting_on: &'static str,
+) -> Result<(), EngineError> {
+    while !axis::push(ch, en, beat.clone()) {
+        if !en.try_step()? {
+            return Err(EngineError::Drained {
+                now: en.now(),
+                waiting_on,
+            });
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -122,14 +145,17 @@ mod tests {
     use std::rc::Rc;
 
     fn mk_streamers(n: usize) -> Vec<StreamerHandle> {
+        mk_streamers_on(&mut Engine::new(), n)
+    }
+
+    fn mk_streamers_on(en: &mut Engine, n: usize) -> Vec<StreamerHandle> {
         let fabric = Rc::new(RefCell::new(PcieFabric::new()));
-        let mut en = Engine::new();
         let mut shell = TapascoShell::new(fabric, 0x4_0000_0000);
         (0..n)
             .map(|_| {
                 StreamerHandle::instantiate(
                     &mut shell,
-                    &mut en,
+                    en,
                     StreamerConfig::snacc(StreamerVariant::Uram),
                 )
             })
@@ -161,5 +187,24 @@ mod tests {
         let total: u64 = pieces.iter().map(|p| p.2).sum();
         assert_eq!(total, 4096 * 7 + 1024);
         assert_eq!(pieces.len(), 8);
+    }
+
+    #[test]
+    fn stalls_are_errors_not_panics() {
+        // No SSD behind the streamer: nothing drains its write channel.
+        let mut en = Engine::new();
+        let m = MultiSsd::new(mk_streamers_on(&mut en, 2), 1 << 20);
+        let err = m
+            .write_striped(&mut en, 0, &Payload::pattern(1, 64 << 20))
+            .expect_err("a write nobody drains must stall");
+        assert!(matches!(err, EngineError::Drained { .. }), "{err}");
+        let mut reads = Ok(());
+        for i in 0..1024 {
+            reads = m.read_striped(&mut en, i << 21, 2 << 20);
+            if reads.is_err() {
+                break;
+            }
+        }
+        assert!(matches!(reads, Err(EngineError::Drained { .. })));
     }
 }

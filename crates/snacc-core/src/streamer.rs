@@ -1392,8 +1392,10 @@ fn process_cq(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
 /// a fresh cid via [`CommandRob::replay`] — it keeps its slot in the
 /// retirement order, so in-order delivery survives — and return
 /// `Some((new_cid, backoff))` for the caller to schedule the re-issue.
-/// Otherwise: give up and retire with the error (reads stream zeros,
-/// writes still answer the PE), counting the loss in `gave_up`.
+/// Otherwise: give up and retire with the error (reads still stream
+/// their buffer region, which holds whatever it last held — stale data,
+/// not zeros; writes still answer the PE), counting the loss in
+/// `gave_up`.
 ///
 /// Runs with the streamer borrow held; must not schedule (SL006).
 fn handle_completion(

@@ -14,9 +14,16 @@
 //!   and [`read_payload_parts`](SegmentMemory::read_payload_parts) avoids
 //!   even that for consumers that can handle a part list.
 //! * **Copy-on-write coalescing** bounds fragmentation: when more than
-//!   [`COALESCE_SEGS`] segments accumulate inside one 1 MiB window, the
-//!   window is materialised into a single owned segment. This is the only
-//!   copying path in the store.
+//!   [`COALESCE_SEGS`] segments accumulate inside one 1 MiB window *and*
+//!   at least one of them is shorter than a page, the window is
+//!   materialised into a single owned segment. This is the only copying
+//!   path in the store. A window whose segments are all at least a page
+//!   long is left alone: their starts are at least a page apart, so it
+//!   holds at most `COALESCE_WINDOW / PAGE_SIZE` (256) segments and
+//!   per-segment metadata stays a few percent of the bytes described.
+//!   Scattered 4 KiB media writes therefore stay zero-copy, while windows
+//!   fragmented by sub-page writes (rings, PRP lists, tiny adversarial
+//!   writes) stay bounded at `COALESCE_SEGS + 2` segments.
 //!
 //! The byte-oriented API (`write`/`read`/`read_vec`/scalar helpers) matches
 //! `SparseMemory` so ring buffers, descriptor pages and tests work
@@ -30,8 +37,8 @@ use crate::sparse::PAGE_SIZE;
 /// CoW coalescing window (bytes). Fragmentation is bounded per window.
 pub const COALESCE_WINDOW: u64 = 1 << 20;
 
-/// Maximum segments tolerated inside one window before the window is
-/// materialised into a single owned segment.
+/// Maximum segments tolerated inside one window holding a sub-page
+/// segment before the window is materialised into a single owned segment.
 pub const COALESCE_SEGS: usize = 64;
 
 /// Chunk size for [`SegmentMemory::fill`] backings: bounds how much one
@@ -104,9 +111,29 @@ impl SegmentMemory {
     /// trimmed (zero-copy slices); adjacent windows of the same backing
     /// re-join so a producer slicing one large buffer leaves one segment.
     pub fn write_payload(&mut self, addr: u64, data: Payload) {
-        self.bytes_written += data.len() as u64;
-        self.insert_segment(addr, data);
-        self.maybe_coalesce(addr);
+        self.write_parts(addr, [data]);
+    }
+
+    /// Write `parts` back to back from `addr` (one logical write delivered
+    /// in pieces, e.g. the TLPs of a DMA). Every part is inserted before
+    /// the coalescing check runs, once per 1 MiB window the write touched,
+    /// so a write whose parts re-join into page-sized windows is never
+    /// materialised because one of its parts was transiently sub-page.
+    pub fn write_parts(&mut self, addr: u64, parts: impl IntoIterator<Item = Payload>) {
+        let mut end = addr;
+        for p in parts {
+            let n = p.len() as u64;
+            self.insert_segment(end, p);
+            end += n;
+        }
+        self.bytes_written += end - addr;
+        if end > addr {
+            let first = addr / COALESCE_WINDOW;
+            let last = (end - 1) / COALESCE_WINDOW;
+            for w in first..=last {
+                self.maybe_coalesce(w * COALESCE_WINDOW);
+            }
+        }
     }
 
     /// Fill `[addr, addr + len)` with `byte` as lazy shared-backing fill
@@ -191,14 +218,7 @@ impl SegmentMemory {
     /// zero-copy: the destination shares the source segments' backings.
     pub fn copy_within(&mut self, src_addr: u64, dst_addr: u64, len: usize) {
         let parts = self.read_payload_parts(src_addr, len);
-        self.bytes_written += len as u64;
-        let mut off = 0u64;
-        for p in parts {
-            let n = p.len() as u64;
-            self.insert_segment(dst_addr + off, p);
-            off += n;
-        }
-        self.maybe_coalesce(dst_addr);
+        self.write_parts(dst_addr, parts);
     }
 
     /// Drop all contents.
@@ -317,24 +337,26 @@ impl SegmentMemory {
         self.segs.insert(start, merged);
     }
 
-    /// If the 1 MiB window containing `addr` holds more than
-    /// [`COALESCE_SEGS`] segments, materialise its covered extent into one
-    /// owned segment (the store's only copying path).
-    fn maybe_coalesce(&mut self, addr: u64) {
-        let win_start = addr & !(COALESCE_WINDOW - 1);
+    /// If the 1 MiB window starting at `win_start` holds more than
+    /// [`COALESCE_SEGS`] segments and one of them is shorter than a page,
+    /// materialise its covered extent into one owned segment (the store's
+    /// only copying path).
+    fn maybe_coalesce(&mut self, win_start: u64) {
         let win_end = win_start + COALESCE_WINDOW;
         let mut count = 0usize;
+        let mut sub_page = false;
         let mut lo = u64::MAX;
         let mut hi = 0u64;
         for (&s, seg) in self.segs.range(win_start..win_end) {
             count += 1;
+            sub_page |= seg.len() < PAGE_SIZE;
             lo = lo.min(s);
             hi = hi.max((s + seg.len() as u64).min(win_end));
-            if count > COALESCE_SEGS {
+            if count > COALESCE_SEGS && sub_page {
                 break;
             }
         }
-        if count <= COALESCE_SEGS || lo >= hi {
+        if count <= COALESCE_SEGS || !sub_page || lo >= hi {
             return;
         }
         let len = (hi - lo) as usize;
@@ -396,9 +418,8 @@ mod tests {
         let p = Payload::pattern(7, 4096);
         m.write_payload(64, p.clone());
         let back = m.read_payload(64, 4096);
-        // The store returned our window, not a copy: a slice of the result
-        // re-joins with the original's tail only if both share one backing.
-        assert!(p.slice(0..2048).try_join(&back.slice(2048..4096)).is_some());
+        // The store returned our window, not a copy.
+        assert!(shares_backing(&p, &back));
         assert_eq!(back, p);
         assert_eq!(m.segment_count(), 1);
     }
@@ -464,6 +485,82 @@ mod tests {
             assert_eq!(m.read_vec(i * 128, 64), vec![i as u8; 64]);
             assert_eq!(m.read_vec(i * 128 + 64, 64), vec![0u8; 64]);
         }
+    }
+
+    /// True when `got` is a window of `buf`'s backing: a slice of one
+    /// re-joins with a slice of the other only if they share a buffer.
+    fn shares_backing(buf: &Payload, got: &Payload) -> bool {
+        let half = got.len() / 2;
+        buf.slice(0..half)
+            .try_join(&got.slice(half..got.len()))
+            .is_some()
+    }
+
+    #[test]
+    fn scattered_page_writes_stay_zero_copy() {
+        let mut m = SegmentMemory::new();
+        m.fill(0, COALESCE_WINDOW, 0x5a);
+        let page = PAGE_SIZE as u64;
+        let n = 48u64;
+        let big = Payload::pattern(3, (n * page) as usize);
+        // Every third page: no two writes are adjacent, so nothing re-joins
+        // and the window ends up with ~2n page-sized segments (> 64).
+        for i in 0..n {
+            let b = (i * page) as usize;
+            m.write_payload(3 * i * page + page, big.slice(b..b + PAGE_SIZE));
+        }
+        assert!(m.segment_count() > COALESCE_SEGS);
+        for i in 0..n {
+            let b = (i * page) as usize;
+            let got = m.read_payload(3 * i * page + page, PAGE_SIZE);
+            assert!(
+                shares_backing(&big.slice(b..b + PAGE_SIZE), &got),
+                "page write {i} was materialised"
+            );
+            assert_eq!(got, big.slice(b..b + PAGE_SIZE));
+        }
+        assert_eq!(m.read_vec(0, PAGE_SIZE), vec![0x5a; PAGE_SIZE]);
+    }
+
+    #[test]
+    fn write_parts_coalesces_after_the_whole_write() {
+        let mut m = SegmentMemory::new();
+        let page = PAGE_SIZE as u64;
+        // More than COALESCE_SEGS page-sized segments from distinct backings.
+        for i in 0..(COALESCE_SEGS as u64 + 8) {
+            m.write_payload(2 * i * page, Payload::pattern(i, PAGE_SIZE));
+        }
+        let before = m.segment_count();
+        // One 4 KiB write delivered as 16 x 256 B parts of one buffer: each
+        // part alone is sub-page, but together they re-join into one page.
+        let buf = Payload::pattern(99, PAGE_SIZE);
+        let at = 21 * page;
+        m.write_parts(at, (0..16).map(|i| buf.slice(i * 256..(i + 1) * 256)));
+        assert_eq!(m.segment_count(), before + 1, "window was materialised");
+        let got = m.read_payload(at, PAGE_SIZE);
+        assert!(shares_backing(&buf, &got));
+        assert_eq!(got, buf);
+        assert_eq!(m.bytes_written(), before as u64 * page + page);
+    }
+
+    #[test]
+    fn sub_page_fragment_still_triggers_coalescing() {
+        let mut m = SegmentMemory::new();
+        let page = PAGE_SIZE as u64;
+        for i in 0..(COALESCE_SEGS as u64 + 8) {
+            m.write_payload(2 * i * page, Payload::pattern(i, PAGE_SIZE));
+        }
+        m.write(21 * page, &[7u8; 48]);
+        assert!(
+            m.segment_count() <= COALESCE_SEGS + 2,
+            "a sub-page fragment must bound the window: {} segments",
+            m.segment_count()
+        );
+        assert_eq!(m.read_vec(21 * page, 48), vec![7u8; 48]);
+        assert_eq!(
+            m.read_payload(2 * page, PAGE_SIZE),
+            Payload::pattern(1, PAGE_SIZE)
+        );
     }
 
     #[test]

@@ -13,6 +13,11 @@ use snacc_sim::bytes::Payload;
 /// and straddle each other often.
 const SPACE: u64 = 1 << 15;
 
+/// One coalescing window, in bytes and in pages.
+const WINDOW: u64 = snacc_mem::segment::COALESCE_WINDOW;
+const PAGE: u64 = snacc_mem::sparse::PAGE_SIZE as u64;
+const PAGES: u64 = WINDOW / PAGE;
+
 fn apply(seg: &mut SegmentMemory, sparse: &mut SparseMemory, op: [u64; 4]) {
     let [sel, a, l, s] = op;
     let addr = a % SPACE;
@@ -99,25 +104,52 @@ proptest! {
     }
 
     /// Interleaved tiny writes trip CoW coalescing without changing any
-    /// byte; fragmentation stays bounded per window.
+    /// byte; fragmentation stays bounded per window. `mix` selects which
+    /// writes land: 48 B ones only, page-granular ones only (over a
+    /// prewarmed fill, never coalesced but bounded by a page per segment),
+    /// or both interleaved.
     #[test]
     fn coalescing_preserves_bytes(
         writes in proptest::collection::vec(any::<[u64; 2]>(), 80..200),
+        mix in 0u8..3,
     ) {
         let mut seg = SegmentMemory::new();
         let mut sparse = SparseMemory::new();
-        for [a, s] in &writes {
-            // Dense tiny writes inside one 1 MiB window.
-            let addr = a % (1 << 20);
-            let data = [(s & 0xff) as u8; 48];
-            seg.write(addr, &data);
-            sparse.write(addr, &data);
+        if mix > 0 {
+            seg.fill(0, WINDOW, 0x3c);
+            sparse.write(0, &vec![0x3c; WINDOW as usize]);
         }
+        for (i, [a, s]) in writes.iter().enumerate() {
+            let page_write = match mix {
+                0 => false,
+                1 => true,
+                _ => i % 2 == 1,
+            };
+            if page_write {
+                // Page-aligned 1-4 page writes of lazy pattern windows.
+                let addr = (a % PAGES) * PAGE;
+                let len = (PAGE * (1 + s % 4)).min(WINDOW - addr) as usize;
+                let p = Payload::pattern(*s, len);
+                seg.write_payload(addr, p.clone());
+                sparse.write(addr, p.as_slice());
+            } else {
+                // Dense tiny writes inside one 1 MiB window.
+                let addr = a % WINDOW;
+                let data = [(s & 0xff) as u8; 48];
+                seg.write(addr, &data);
+                sparse.write(addr, &data);
+            }
+        }
+        let bound = match mix {
+            0 => snacc_mem::segment::COALESCE_SEGS + 2,
+            1 => PAGES as usize + 2,
+            _ => usize::MAX,
+        };
         prop_assert!(
-            seg.segment_count() <= snacc_mem::segment::COALESCE_SEGS + 2,
-            "window fragmentation unbounded: {} segments", seg.segment_count()
+            seg.segment_count() <= bound,
+            "window fragmentation unbounded: {} segments (mix {})", seg.segment_count(), mix
         );
-        let want = sparse.read_vec(0, 1 << 20);
-        prop_assert_eq!(seg.read_vec(0, 1 << 20), want);
+        let want = sparse.read_vec(0, WINDOW as usize);
+        prop_assert_eq!(seg.read_vec(0, WINDOW as usize), want);
     }
 }

@@ -337,12 +337,7 @@ impl NandBackend {
     ) -> SimTime {
         let len: u64 = parts.iter().map(|p| p.len() as u64).sum();
         assert!(self.in_bounds(addr, len), "media write OOB");
-        let mut off = 0u64;
-        for p in parts {
-            let n = p.len() as u64;
-            self.media.write_payload(addr + off, p);
-            off += n;
-        }
+        self.media.write_parts(addr, parts);
         self.write_timing(now, addr, len, random_hint)
     }
 

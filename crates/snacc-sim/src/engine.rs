@@ -42,6 +42,14 @@ pub enum EngineError {
         /// `(time, seq)` of the next event that would have run, if any.
         head: Option<(SimTime, u64)>,
     },
+    /// The event queue drained while a producer outside the engine still
+    /// waited for a model to make room — nothing left can ever wake it.
+    Drained {
+        /// Simulated time at which the queue ran dry.
+        now: SimTime,
+        /// What the producer was waiting to do.
+        waiting_on: &'static str,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -63,6 +71,10 @@ impl fmt::Display for EngineError {
                 }
                 Ok(())
             }
+            EngineError::Drained { now, waiting_on } => write!(
+                f,
+                "event queue drained at {now} while waiting on {waiting_on} — stalled model?"
+            ),
         }
     }
 }
@@ -523,7 +535,10 @@ mod tests {
             now,
             pending,
             head,
-        } = err.clone();
+        } = err.clone()
+        else {
+            panic!("expected EventLimit, got {err}");
+        };
         assert_eq!(limit, 100);
         assert_eq!(en.events_executed(), 100);
         // The event that would have run next is still queued, not consumed.
@@ -545,7 +560,9 @@ mod tests {
         }
         en.schedule_now(forever);
         let err = en.try_run_until(SimTime::from_ns(1000)).unwrap_err();
-        let EngineError::EventLimit { limit, pending, .. } = err;
+        let EngineError::EventLimit { limit, pending, .. } = err else {
+            panic!("expected EventLimit, got {err}");
+        };
         assert_eq!(limit, 10);
         assert_eq!(pending, 1);
         // The deadline path still works on a fresh engine.

@@ -366,14 +366,21 @@ pub fn counter(en: &Engine, track: &str, name: &'static str, value: f64) {
 
 /// Dump an [`EngineError`] diagnosis into the trace: the pending-queue
 /// head (time, seq) and count land on the `engine` track so a runaway
-/// model's last state is visible in the exported timeline.
+/// model's last state is visible in the exported timeline; a drained
+/// queue lands as an `engine.drained` instant.
 pub fn report_engine_error(err: &EngineError) {
-    let EngineError::EventLimit {
-        limit,
-        now,
-        pending,
-        head,
-    } = err;
+    let (limit, now, pending, head) = match err {
+        EngineError::EventLimit {
+            limit,
+            now,
+            pending,
+            head,
+        } => (limit, now, pending, head),
+        EngineError::Drained { now, .. } => {
+            instant_at(*now, "engine", "engine.drained", &[]);
+            return;
+        }
+    };
     let mut args: Args = vec![("limit", *limit), ("pending", *pending as u64)];
     if let Some((t, seq)) = head {
         args.push(("head_t_ns", t.as_ns()));
