@@ -20,7 +20,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use snacc_apps::pipeline::{run_snacc_case_study, CaseStudyConfig};
 use snacc_apps::system::{SnaccSystem, SystemConfig};
 use snacc_bench::workloads::{self, Dir};
-use snacc_core::config::StreamerVariant;
+use snacc_core::config::{StreamerConfig, StreamerVariant};
 use snacc_mem::SegmentMemory;
 use snacc_sim::{Payload, SimRng};
 
@@ -57,7 +57,7 @@ fn datapath_benches(c: &mut Criterion) {
     g.bench_function("rand_write_4k", |b| {
         b.iter(|| {
             black_box(workloads::snacc_rand_bandwidth(
-                StreamerVariant::Uram,
+                StreamerConfig::snacc(StreamerVariant::Uram),
                 Dir::Write,
                 rand_total,
                 7,

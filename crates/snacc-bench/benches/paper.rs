@@ -12,7 +12,7 @@ use snacc_apps::system::{SnaccSystem, SystemConfig};
 use snacc_bench::workloads::{
     snacc_latency_us, snacc_rand_bandwidth, snacc_seq_bandwidth, spdk_bandwidth, Dir,
 };
-use snacc_core::config::StreamerVariant;
+use snacc_core::config::{StreamerConfig, StreamerVariant};
 
 fn fig4a_seq_bandwidth(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig4a_seq");
@@ -32,8 +32,9 @@ fn fig4a_seq_bandwidth(c: &mut Criterion) {
 fn fig4b_rand_bandwidth(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig4b_rand");
     g.sample_size(10);
+    let uram = StreamerConfig::snacc(StreamerVariant::Uram);
     g.bench_function("uram_rand_read_16M", |b| {
-        b.iter(|| snacc_rand_bandwidth(StreamerVariant::Uram, Dir::Read, 16 << 20, 7))
+        b.iter(|| snacc_rand_bandwidth(uram.clone(), Dir::Read, 16 << 20, 7))
     });
     g.bench_function("spdk_rand_read_16M", |b| {
         b.iter(|| spdk_bandwidth(Dir::Read, true, 16 << 20, 64, 7))

@@ -66,18 +66,13 @@ fn main() {
         }
         g
     };
-    type CampaignResult = (BenchRecord, (String, FaultSummary));
-    let work: Vec<sweep::Job<'_, CampaignResult>> = grid
-        .into_iter()
-        .map(|(label, plan)| {
-            Box::new(move |log: &mut JobOutput| {
-                let (r, s) = campaign(log, &label, &plan, total);
-                (r, (label, s))
-            }) as sweep::Job<'_, CampaignResult>
-        })
-        .collect();
     let (records, summaries): (Vec<_>, Vec<_>) =
-        sweep::run_jobs(telemetry.jobs(), work).into_iter().unzip();
+        sweep::map(telemetry.jobs(), grid, |log, (label, plan)| {
+            let (r, s) = campaign(log, &label, &plan, total);
+            (r, (label, s))
+        })
+        .into_iter()
+        .unzip();
 
     print_table(
         "Ext — sequential read bandwidth under NVMe fault injection",

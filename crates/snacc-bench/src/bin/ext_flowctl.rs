@@ -1,6 +1,7 @@
 //! Sec 4.7 — Ethernet flow control: a 100 G source against a slow sink,
 //! directly and through a switch. Losslessness and goodput throttling.
 
+use snacc_bench::sweep;
 use snacc_bench::{print_table, BenchRecord, Telemetry};
 use snacc_net::frame::MacAddr;
 use snacc_net::mac::{self, EthMac, MacConfig};
@@ -41,24 +42,29 @@ fn run(through_switch: bool, sink_gbps: f64, fc: bool) -> (f64, u64, u64) {
 
 fn main() {
     let telemetry = Telemetry::from_args();
-    let mut records = Vec::new();
-    for (label, sw, gbps, fc) in [
+    let runs = vec![
         ("direct, 6 GB/s sink, FC on", false, 6.0, true),
         ("via switch, 6 GB/s sink, FC on", true, 6.0, true),
         ("direct, 2 GB/s sink, FC on", false, 2.0, true),
         ("direct, 6 GB/s sink, FC OFF", false, 6.0, false),
-    ] {
+    ];
+    let records = sweep::map(telemetry.jobs(), runs, |log, (label, sw, gbps, fc)| {
         let (bw, drops, mismatches) = run(sw, gbps, fc);
-        println!("{label}: goodput {bw:.2} GB/s, drops {drops}, corrupt {mismatches}");
-        records.push(BenchRecord::new("ext_flowctl", label, bw, None, "GB/s"));
-        records.push(BenchRecord::new(
-            "ext_flowctl",
-            &format!("{label} drops"),
-            drops as f64,
-            Some(if fc { 0.0 } else { 1.0 }),
-            "frames",
+        log.println(format!(
+            "{label}: goodput {bw:.2} GB/s, drops {drops}, corrupt {mismatches}"
         ));
-    }
+        [
+            BenchRecord::new("ext_flowctl", label, bw, None, "GB/s"),
+            BenchRecord::new(
+                "ext_flowctl",
+                &format!("{label} drops"),
+                drops as f64,
+                Some(if fc { 0.0 } else { 1.0 }),
+                "frames",
+            ),
+        ]
+    })
+    .concat();
     print_table("Sec 4.7 — 802.3x flow control under a slow sink", &records);
     snacc_bench::report::save_json(&records);
     telemetry.finish();

@@ -2,6 +2,7 @@
 //! against a Gen5 ×4 drive with doubled media rates.
 
 use snacc_apps::system::{SnaccSystem, SystemConfig};
+use snacc_bench::sweep;
 use snacc_bench::workloads::{fill_byte, streamer_read, streamer_write};
 use snacc_bench::{print_table, BenchRecord, Telemetry};
 use snacc_core::config::{StreamerConfig, StreamerVariant};
@@ -32,29 +33,20 @@ fn run(profile: NvmeProfile, write: bool) -> f64 {
 
 fn main() {
     let telemetry = Telemetry::from_args();
-    let mut records = Vec::new();
-    for (label, profile) in [
+    let profiles = vec![
         ("Gen4 x4 (990 PRO)", NvmeProfile::samsung_990pro()),
         ("Gen5 x4 projection", NvmeProfile::gen5_projection()),
-    ] {
+    ];
+    let records = sweep::map(telemetry.jobs(), profiles, |log, (label, profile)| {
         let r = run(profile.clone(), false);
         let w = run(profile, true);
-        println!("{label}: seq-r {r:.2} GB/s, seq-w {w:.2} GB/s");
-        records.push(BenchRecord::new(
-            "ext_gen5",
-            &format!("{label} seq-r"),
-            r,
-            None,
-            "GB/s",
-        ));
-        records.push(BenchRecord::new(
-            "ext_gen5",
-            &format!("{label} seq-w"),
-            w,
-            None,
-            "GB/s",
-        ));
-    }
+        log.println(format!("{label}: seq-r {r:.2} GB/s, seq-w {w:.2} GB/s"));
+        [
+            BenchRecord::new("ext_gen5", &format!("{label} seq-r"), r, None, "GB/s"),
+            BenchRecord::new("ext_gen5", &format!("{label} seq-w"), w, None, "GB/s"),
+        ]
+    })
+    .concat();
     print_table(
         "Sec 7 extension — PCIe Gen5 projection (host-DRAM variant)",
         &records,

@@ -3,6 +3,7 @@
 //! striping layer fanning one logical stream across them.
 
 use snacc_apps::system::layout;
+use snacc_bench::sweep;
 use snacc_bench::{print_table, BenchRecord, Telemetry};
 use snacc_core::config::{StreamerConfig, StreamerVariant};
 use snacc_core::hostinit::SnaccHostDriver;
@@ -67,21 +68,25 @@ fn aggregate_write_bw(n_ssds: usize) -> Result<f64, EngineError> {
 
 fn main() {
     let telemetry = Telemetry::from_args();
-    let mut records = Vec::new();
-    for n in 1..=4usize {
-        let bw = aggregate_write_bw(n).unwrap_or_else(|e| {
-            eprintln!("ext_multi_ssd: {n} SSD(s): {e}");
-            std::process::exit(1)
-        });
-        println!("{n} SSD(s): {bw:.2} GB/s aggregate sequential write");
-        records.push(BenchRecord::new(
+    let records = sweep::map(telemetry.jobs(), (1..=4usize).collect(), |log, n| {
+        let bw = aggregate_write_bw(n).map_err(|e| format!("{n} SSD(s): {e}"))?;
+        log.println(format!(
+            "{n} SSD(s): {bw:.2} GB/s aggregate sequential write"
+        ));
+        Ok(BenchRecord::new(
             "ext_multi_ssd",
             &format!("{n} SSD"),
             bw,
             None,
             "GB/s",
-        ));
-    }
+        ))
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, String>>()
+    .unwrap_or_else(|e| {
+        eprintln!("ext_multi_ssd: {e}");
+        std::process::exit(1)
+    });
     print_table("Sec 7 extension — multi-SSD write scaling", &records);
     snacc_bench::report::save_json(&records);
     telemetry.finish();

@@ -1,7 +1,7 @@
 //! Sec 5.2 note — "SPDK can achieve even higher bandwidth when the
 //! submission queue size is increased": random-read QD sweep.
 
-use rayon::prelude::*;
+use snacc_bench::sweep;
 use snacc_bench::workloads::{spdk_bandwidth, Dir};
 use snacc_bench::{print_table, BenchRecord, Telemetry};
 
@@ -12,17 +12,11 @@ fn main() {
     } else {
         512 << 20
     };
-    let qds = [8u16, 16, 32, 64, 128, 256];
-    let run = |&qd: &u16| {
+    let qds = vec![8u16, 16, 32, 64, 128, 256];
+    let records = sweep::map(telemetry.jobs(), qds, |_, qd| {
         let bw = spdk_bandwidth(Dir::Read, true, total, qd, 31);
         BenchRecord::new("ext_qd_sweep", &format!("QD {qd}"), bw, None, "GB/s")
-    };
-    // The tracer is thread-local: record sequentially when tracing.
-    let records: Vec<BenchRecord> = if telemetry.tracing() {
-        qds.iter().map(run).collect()
-    } else {
-        qds.par_iter().map(run).collect()
-    };
+    });
     print_table("SPDK random 4 KiB read vs submission queue depth", &records);
     snacc_bench::report::save_json(&records);
     telemetry.finish();

@@ -2,7 +2,7 @@
 //! on-board DRAM / host DRAM vs SPDK, read and write. Write bandwidth is
 //! reported as the paper's alternating lo/hi pair.
 
-use snacc_bench::sweep::{self, JobOutput};
+use snacc_bench::sweep;
 use snacc_bench::workloads::{snacc_seq_bandwidth_with, spdk_seq_series, Dir};
 use snacc_bench::{print_table, BenchRecord, Telemetry};
 use snacc_core::config::StreamerVariant;
@@ -87,41 +87,39 @@ fn main() {
     ];
 
     let plan = telemetry.fault_plan();
-    let work: Vec<sweep::Job<'_, BenchRecord>> = jobs
-        .into_iter()
-        .map(|(label, dir, variant, paper_hi, paper_lo)| {
-            Box::new(move |log: &mut JobOutput| {
-                log.eprintln(format!("[fig4a] running {label}..."));
-                let mut series = match variant {
-                    Some(v) => {
-                        let (series, faults) = snacc_seq_bandwidth_with(v, dir, total, plan);
-                        if let Some(s) = faults {
-                            log.eprintln(format!("[fig4a] {label} faults: {s}"));
-                        }
-                        series
+    let records = sweep::map(
+        telemetry.jobs(),
+        jobs,
+        |log, (label, dir, variant, paper_hi, paper_lo)| {
+            log.eprintln(format!("[fig4a] running {label}..."));
+            let mut series = match variant {
+                Some(v) => {
+                    let (series, faults) = snacc_seq_bandwidth_with(v, dir, total, plan);
+                    if let Some(s) = faults {
+                        log.eprintln(format!("[fig4a] {label} faults: {s}"));
                     }
-                    // The SPDK baseline has no streamer; campaigns target
-                    // the SNAcc rows only.
-                    None => spdk_seq_series(dir, total, 42),
-                };
-                if dir == Dir::Write && series.len() > 1 {
-                    series.remove(0); // cache-fill warm-up window
+                    series
                 }
-                let (lo, hi) = minmax(&series);
-                log.eprintln(format!("[fig4a] {label}: {series:?}"));
-                let mut r = BenchRecord::new("fig4a", &label, hi, paper_hi, "GB/s");
-                if dir == Dir::Write {
-                    r = r.with_lo(lo);
-                    if let Some(pl) = paper_lo {
-                        // Encode the paper's lo in the label for the table.
-                        r.label = format!("{label} (paper lo {pl})");
-                    }
+                // The SPDK baseline has no streamer; campaigns target
+                // the SNAcc rows only.
+                None => spdk_seq_series(dir, total, 42),
+            };
+            if dir == Dir::Write && series.len() > 1 {
+                series.remove(0); // cache-fill warm-up window
+            }
+            let (lo, hi) = minmax(&series);
+            log.eprintln(format!("[fig4a] {label}: {series:?}"));
+            let mut r = BenchRecord::new("fig4a", &label, hi, paper_hi, "GB/s");
+            if dir == Dir::Write {
+                r = r.with_lo(lo);
+                if let Some(pl) = paper_lo {
+                    // Encode the paper's lo in the label for the table.
+                    r.label = format!("{label} (paper lo {pl})");
                 }
-                r
-            }) as sweep::Job<'_, BenchRecord>
-        })
-        .collect();
-    let records = sweep::run_jobs(telemetry.jobs(), work);
+            }
+            r
+        },
+    );
 
     print_table("Fig 4a — sequential bandwidth (GB/s)", &records);
     snacc_bench::report::save_json(&records);

@@ -6,8 +6,8 @@ use snacc_apps::gpu::{run_gpu_case_study, GpuModel};
 use snacc_apps::pipeline::{run_snacc_case_study_with, CaseStudyConfig};
 use snacc_apps::spdk_ref::run_spdk_case_study;
 use snacc_apps::system::{SnaccSystem, SystemConfig};
-use snacc_bench::sweep::{self, JobOutput};
-use snacc_bench::workloads::FaultSummary;
+use snacc_bench::sweep;
+use snacc_bench::workloads::{scrub_snacc, FaultSummary};
 use snacc_bench::{print_table, BenchRecord, Telemetry};
 use snacc_core::config::StreamerVariant;
 
@@ -52,49 +52,38 @@ fn main() {
         ("SPDK".to_string(), Cfg::Spdk(6.1)),
         ("GPU".to_string(), Cfg::Gpu(5.76)),
     ];
-    let work: Vec<sweep::Job<'_, BenchRecord>> = jobs
-        .into_iter()
-        .map(|(label, job)| {
-            let cfg = cfg.clone();
-            Box::new(move |log: &mut JobOutput| {
-                let (report, paper) = match job {
-                    Cfg::Snacc(v, paper) => {
-                        let syscfg = match plan {
-                            Some(p) => SystemConfig::snacc_faulted(v, p),
-                            None => SystemConfig::snacc(v),
-                        };
-                        let mut sys = SnaccSystem::bring_up(syscfg);
-                        let base = plan.map(|_| FaultSummary::from_system(&sys));
-                        let r = run_snacc_case_study_with(&mut sys, cfg.clone(), plan);
-                        if let Some(base) = base {
-                            let s = FaultSummary::from_system(&sys).since(&base);
-                            log.eprintln(format!(
-                                "[fig6] {label} faults: {s}, resyncs {}, bytes_skipped {}",
-                                r.resyncs, r.bytes_skipped
-                            ));
-                        }
-                        // Release functional media (Rc cycles keep the
-                        // system alive; GiB-scale stores must not
-                        // accumulate).
-                        sys.nvme.with(|d| d.nand_mut().media_mut().clear());
-                        sys.hostmem.borrow_mut().store_mut().clear();
-                        (r, paper)
-                    }
-                    Cfg::Spdk(paper) => (run_spdk_case_study(cfg.clone(), 7), paper),
-                    Cfg::Gpu(paper) => (
-                        run_gpu_case_study(cfg.clone(), GpuModel::default(), 7),
-                        paper,
-                    ),
+    let records = sweep::map(telemetry.jobs(), jobs, |log, (label, job)| {
+        let (report, paper) = match job {
+            Cfg::Snacc(v, paper) => {
+                let syscfg = match plan {
+                    Some(p) => SystemConfig::snacc_faulted(v, p),
+                    None => SystemConfig::snacc(v),
                 };
-                log.println(format!(
-                    "{label}: {:.2} GB/s, {:.0} frames/s, accuracy {}/{}",
-                    report.bandwidth_gbps, report.fps, report.correct, report.classified
-                ));
-                BenchRecord::new("fig6", &label, report.bandwidth_gbps, Some(paper), "GB/s")
-            }) as sweep::Job<'_, BenchRecord>
-        })
-        .collect();
-    let records = sweep::run_jobs(telemetry.jobs(), work);
+                let mut sys = SnaccSystem::bring_up(syscfg);
+                let base = plan.map(|_| FaultSummary::from_system(&sys));
+                let r = run_snacc_case_study_with(&mut sys, cfg.clone(), plan);
+                if let Some(base) = base {
+                    let s = FaultSummary::from_system(&sys).since(&base);
+                    log.eprintln(format!(
+                        "[fig6] {label} faults: {s}, resyncs {}, bytes_skipped {}",
+                        r.resyncs, r.bytes_skipped
+                    ));
+                }
+                scrub_snacc(&mut sys);
+                (r, paper)
+            }
+            Cfg::Spdk(paper) => (run_spdk_case_study(cfg.clone(), 7), paper),
+            Cfg::Gpu(paper) => (
+                run_gpu_case_study(cfg.clone(), GpuModel::default(), 7),
+                paper,
+            ),
+        };
+        log.println(format!(
+            "{label}: {:.2} GB/s, {:.0} frames/s, accuracy {}/{}",
+            report.bandwidth_gbps, report.fps, report.correct, report.classified
+        ));
+        BenchRecord::new("fig6", &label, report.bandwidth_gbps, Some(paper), "GB/s")
+    });
     print_table(
         "Fig 6 — case-study bandwidth (GB/s; paper: 676 f/s at 6.1)",
         &records,

@@ -18,9 +18,11 @@
 //! | `ext_flowctl`   | Sec 4.7 | Ethernet flow control losslessness |
 //!
 //! The library half hosts the shared workload drivers plus the
-//! deterministic sweep pool ([`sweep`]): binaries declare their job grid
-//! and fan independent simulations across `--jobs N` worker threads with
-//! byte-identical output at any worker count.
+//! deterministic sweep pool ([`sweep`]). Every binary that simulates (all
+//! but `table1`) declares its job list and runs it with
+//! [`sweep::map`]`(telemetry.jobs(), ..)`, fanning independent simulations
+//! across `--jobs N` worker threads with byte-identical output at any
+//! worker count.
 
 pub mod report;
 pub mod sweep;

@@ -1,4 +1,5 @@
-//! Deterministic parallel sweep runner.
+//! Deterministic parallel sweep runner — the one way a bench binary runs
+//! its simulations.
 //!
 //! The figure binaries are sweeps: a list of self-contained simulation
 //! jobs (variant × direction × seed), each bringing up its own
@@ -7,12 +8,13 @@
 //! single-threaded (`Rc`-based, thread-local tracer/metrics), so each job
 //! must *construct and run* its world entirely on one thread.
 //!
-//! [`run_jobs`] provides exactly that: a fixed worker pool pulls jobs in
-//! index order, every job's console output is captured in a [`JobOutput`]
-//! buffer, and the main thread flushes buffers strictly in job order. The
-//! visible byte stream is therefore identical for `--jobs 1` and
-//! `--jobs N` (CI asserts this; see `tests/jobs_determinism.rs`), and
-//! identical to the pre-pool sequential binaries.
+//! [`map`] provides exactly that: a fixed worker pool pulls items in
+//! index order and applies the job function to each, every job's console
+//! output is captured in a [`JobOutput`] buffer, and the main thread
+//! flushes buffers strictly in job order. The visible byte stream is
+//! therefore identical for `--jobs 1` and `--jobs N` (CI asserts this;
+//! see `tests/jobs_determinism.rs`), and identical to a plain sequential
+//! loop.
 //!
 //! Telemetry caveat: the tracer, metrics registry and the engine's
 //! lifetime event counter are thread-local, so runs recording `--trace`,
@@ -53,18 +55,14 @@ impl JobOutput {
     }
 }
 
-/// One sweep job: runs a self-contained simulation, printing through the
-/// given [`JobOutput`].
-pub type Job<'a, R> = Box<dyn FnOnce(&mut JobOutput) -> R + Send + 'a>;
-
 enum Slot<R> {
     Done(JobOutput, R),
     Panicked(JobOutput, Box<dyn std::any::Any + Send>),
 }
 
-fn run_one<R>(job: Job<'_, R>) -> Slot<R> {
+fn run_one<T, R>(f: &(impl Fn(&mut JobOutput, T) -> R + Sync), item: T) -> Slot<R> {
     let mut log = JobOutput::default();
-    match catch_unwind(AssertUnwindSafe(|| job(&mut log))) {
+    match catch_unwind(AssertUnwindSafe(|| f(&mut log, item))) {
         Ok(r) => Slot::Done(log, r),
         Err(p) => Slot::Panicked(log, p),
     }
@@ -83,34 +81,39 @@ fn settle<R>(slot: Slot<R>) -> R {
     }
 }
 
-/// Run `jobs` on a pool of `workers` threads, returning results in job
-/// order. Output is flushed strictly in job order, so the byte stream is
-/// independent of the worker count. `workers <= 1` runs inline with no
-/// threads (the CI-deterministic default). A panicking job still flushes
-/// its output, then the panic resumes on the caller's thread.
-pub fn run_jobs<'a, R: Send>(workers: usize, jobs: Vec<Job<'a, R>>) -> Vec<R> {
-    let n = jobs.len();
+/// Apply `f` to every item on a pool of `workers` threads, returning the
+/// results in item order. Each call prints through its own [`JobOutput`],
+/// flushed strictly in item order, so the byte stream is independent of
+/// the worker count. `workers <= 1` runs inline with no threads (the
+/// CI-deterministic default). A panicking job still flushes its output,
+/// then the panic resumes on the caller's thread.
+pub fn map<T, R, F>(workers: usize, items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(&mut JobOutput, T) -> R + Sync,
+{
+    let n = items.len();
     if workers <= 1 || n <= 1 {
-        return jobs.into_iter().map(|j| settle(run_one(j))).collect();
+        return items.into_iter().map(|t| settle(run_one(&f, t))).collect();
     }
     let workers = workers.min(n);
-    let queue: Mutex<VecDeque<(usize, Job<'a, R>)>> =
-        Mutex::new(jobs.into_iter().enumerate().collect());
+    let queue: Mutex<VecDeque<(usize, T)>> = Mutex::new(items.into_iter().enumerate().collect());
     let slots: Mutex<Vec<Option<Slot<R>>>> = Mutex::new((0..n).map(|_| None).collect());
     let done = Condvar::new();
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| loop {
                 let next = queue.lock().expect("queue lock").pop_front();
-                let Some((i, job)) = next else {
+                let Some((i, item)) = next else {
                     break;
                 };
-                let slot = run_one(job);
+                let slot = run_one(&f, item);
                 slots.lock().expect("slot lock")[i] = Some(slot);
                 done.notify_all();
             });
         }
-        // Flush and collect in job order as results land.
+        // Flush and collect in item order as results land.
         let mut results = Vec::with_capacity(n);
         for i in 0..n {
             let slot = {
@@ -130,22 +133,14 @@ pub fn run_jobs<'a, R: Send>(workers: usize, jobs: Vec<Job<'a, R>>) -> Vec<R> {
 mod tests {
     use super::*;
 
-    fn jobs(n: usize) -> Vec<Job<'static, usize>> {
-        (0..n)
-            .map(|i| {
-                Box::new(move |log: &mut JobOutput| {
-                    log.eprintln(format!("job {i} starting"));
-                    log.println(format!("job {i} result"));
-                    i * 10
-                }) as Job<'static, usize>
-            })
-            .collect()
-    }
-
     #[test]
     fn results_are_in_job_order() {
         for workers in [1, 2, 4, 16] {
-            let got = run_jobs(workers, jobs(9));
+            let got = map(workers, (0..9).collect(), |log, i: usize| {
+                log.eprintln(format!("job {i} starting"));
+                log.println(format!("job {i} result"));
+                i * 10
+            });
             assert_eq!(got, (0..9).map(|i| i * 10).collect::<Vec<_>>());
         }
     }
@@ -153,26 +148,23 @@ mod tests {
     #[test]
     fn borrows_are_allowed() {
         // Jobs may borrow caller state (e.g. a fault plan).
-        let shared = vec![1u64, 2, 3];
-        let work: Vec<Job<'_, u64>> = (0..3)
-            .map(|i| {
-                let shared = &shared;
-                Box::new(move |_: &mut JobOutput| shared[i]) as Job<'_, u64>
-            })
-            .collect();
-        assert_eq!(run_jobs(3, work), vec![1, 2, 3]);
+        let shared = [1u64, 2, 3];
+        assert_eq!(
+            map(3, vec![0, 1, 2], |_, i: usize| shared[i]),
+            vec![1, 2, 3]
+        );
     }
 
     #[test]
     fn panic_propagates_after_flush() {
-        let work: Vec<Job<'static, ()>> = vec![
-            Box::new(|_| ()),
-            Box::new(|log: &mut JobOutput| {
-                log.eprintln("about to fail");
-                panic!("boom");
-            }),
-        ];
-        let r = catch_unwind(AssertUnwindSafe(|| run_jobs(2, work)));
+        let r = catch_unwind(|| {
+            map(2, vec![false, true], |log, fail| {
+                if fail {
+                    log.eprintln("about to fail");
+                    panic!("boom");
+                }
+            })
+        });
         assert!(r.is_err());
     }
 }

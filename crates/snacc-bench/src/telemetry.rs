@@ -18,14 +18,16 @@
 //! fetch it with [`Telemetry::fault_plan`] and wire it into their
 //! systems.
 //!
-//! `--jobs <N>` sizes the sweep worker pool ([`Telemetry::jobs`]): sweep
-//! binaries fan their independent simulation jobs across `N` threads with
-//! byte-identical output (see [`crate::sweep`]). Defaults to 1; forced
-//! back to 1 while any telemetry sink is recording.
+//! `--jobs <N>` sizes the sweep worker pool ([`Telemetry::jobs`]): every
+//! binary that runs simulations (all but `table1`) fans its independent
+//! jobs across `N` threads with [`crate::sweep::map`], with byte-identical
+//! output. Defaults to 1; forced back to 1 while any telemetry sink is
+//! recording.
 
+use serde_json::{Map, Value};
 use snacc_faults::FaultPlan;
 use snacc_trace::{MetricsRegistry, Tracer};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Parsed telemetry flags; holds the export paths while the thread-local
@@ -101,38 +103,20 @@ fn peak_rss_kb() -> u64 {
 }
 
 /// Merge `{key: record}` into the JSON object file at `path`, preserving
-/// other keys (each figure binary writes its own entry). The existing file
-/// is parsed just enough to splice objects; on any parse trouble the file
-/// is rewritten with only the new entry.
-fn merge_json_entry(path: &PathBuf, key: &str, record: &str) -> std::io::Result<()> {
+/// other keys (each figure binary writes its own entry; re-running one
+/// replaces it). A missing or unparsable file is rewritten with only the
+/// new entry.
+fn merge_json_entry(path: &Path, key: &str, record: Value) -> std::io::Result<()> {
     let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let mut entries: Vec<(String, String)> = Vec::new();
-    if let Some(body) = existing
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-    {
-        // Top-level entries are `"key": {...}` — values are one-level
-        // objects, so splitting on `}` boundaries is enough.
-        for part in body.split_inclusive('}') {
-            let part = part.trim().trim_start_matches(',').trim();
-            if let Some((k, v)) = part.split_once(':') {
-                let k = k.trim().trim_matches('"').to_string();
-                if !k.is_empty() && k != key {
-                    entries.push((k, v.trim().to_string()));
-                }
-            }
-        }
-    }
-    entries.push((key.to_string(), record.to_string()));
-    let mut out = String::from("{\n");
-    for (i, (k, v)) in entries.iter().enumerate() {
-        let sep = if i + 1 == entries.len() { "" } else { "," };
-        out.push_str(&format!("  \"{k}\": {v}{sep}\n"));
-    }
-    out.push('}');
-    out.push('\n');
-    std::fs::write(path, out)
+    let mut doc = match serde_json::from_str(&existing) {
+        Ok(Value::Object(map)) => map,
+        _ => Map::new(),
+    };
+    doc.insert(key, record);
+    std::fs::write(
+        path,
+        serde_json::to_string_pretty(&Value::Object(doc)) + "\n",
+    )
 }
 
 impl Telemetry {
@@ -170,16 +154,6 @@ impl Telemetry {
     /// The fault campaign requested with `--faults <plan.toml>`, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault_plan.as_ref()
-    }
-
-    /// Must the binary run its simulations sequentially? True when a
-    /// trace is being recorded (the tracer, like the simulation itself,
-    /// is thread-local, and a deterministic trace needs a deterministic
-    /// interleaving) and when wall-clock perf is being recorded (a rayon
-    /// fan-out would make events-executed and RSS incomparable between
-    /// runs).
-    pub fn tracing(&self) -> bool {
-        self.trace_path.is_some() || self.perf_path.is_some()
     }
 
     /// Worker count for the sweep pool (`--jobs N`, default 1). Degrades
@@ -224,10 +198,11 @@ impl Telemetry {
                         .unwrap_or_else(|| "unknown".into())
                 })
                 .unwrap_or_else(|| "unknown".into());
-            let record = format!(
-                "{{\"wall_seconds\": {wall:.3}, \"events_executed\": {events}, \"peak_rss_kb\": {rss}}}"
-            );
-            merge_json_entry(p, &bin, &record).expect("write perf json");
+            let mut record = Map::new();
+            record.insert("wall_seconds", Value::from((wall * 1e3).round() / 1e3));
+            record.insert("events_executed", Value::from(events));
+            record.insert("peak_rss_kb", Value::from(rss));
+            merge_json_entry(p, &bin, Value::Object(record)).expect("write perf json");
             eprintln!(
                 "(perf: {wall:.3} s wall, {events} events, {rss} KiB peak RSS -> {})",
                 p.display()
@@ -283,20 +258,62 @@ mod tests {
         assert_eq!(f.perf_path, None);
     }
 
+    fn wall(v: f64) -> Value {
+        let mut m = Map::new();
+        m.insert("wall_seconds", Value::from(v));
+        Value::Object(m)
+    }
+
+    fn scratch_file(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("snacc-perf-{}-{name}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("perf.json")
+    }
+
+    fn reparse(path: &Path) -> Value {
+        let text = std::fs::read_to_string(path).unwrap();
+        serde_json::from_str(&text).unwrap_or_else(|e| panic!("{e}: {text}"))
+    }
+
+    fn wall_of(doc: &Value, key: &str) -> Option<f64> {
+        doc.get(key)?.get("wall_seconds")?.as_f64()
+    }
+
     #[test]
     fn perf_json_merges_by_key() {
-        let dir = std::env::temp_dir().join(format!("snacc-perf-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("perf.json");
-        merge_json_entry(&path, "fig4a", "{\"wall_seconds\": 1.5}").unwrap();
-        merge_json_entry(&path, "fig7", "{\"wall_seconds\": 2.0}").unwrap();
+        let path = scratch_file("merge");
+        merge_json_entry(&path, "fig4a", wall(1.5)).unwrap();
+        merge_json_entry(&path, "fig7", wall(2.0)).unwrap();
         // Re-running a binary replaces its entry, keeping the others.
-        merge_json_entry(&path, "fig4a", "{\"wall_seconds\": 1.0}").unwrap();
-        let got = std::fs::read_to_string(&path).unwrap();
-        assert!(got.contains("\"fig7\": {\"wall_seconds\": 2.0}"), "{got}");
-        assert!(got.contains("\"fig4a\": {\"wall_seconds\": 1.0}"), "{got}");
-        assert!(!got.contains("1.5"), "{got}");
-        std::fs::remove_dir_all(&dir).unwrap();
+        merge_json_entry(&path, "fig4a", wall(1.0)).unwrap();
+        let doc = reparse(&path);
+        assert_eq!(doc.as_object().map(Map::len), Some(2));
+        assert_eq!(wall_of(&doc, "fig7"), Some(2.0));
+        assert_eq!(wall_of(&doc, "fig4a"), Some(1.0));
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn perf_json_merge_keeps_nested_records_intact() {
+        let path = scratch_file("nested");
+        std::fs::write(&path, r#"{"suite": {"fig4a": {"wall": 1.0}}}"#).unwrap();
+        merge_json_entry(&path, "fig7", wall(2.0)).unwrap();
+        let doc = reparse(&path);
+        let inner = doc.get("suite").and_then(|s| s.get("fig4a"));
+        assert_eq!(inner.and_then(|f| f.get("wall")?.as_f64()), Some(1.0));
+        assert_eq!(wall_of(&doc, "fig7"), Some(2.0));
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn perf_json_rewrites_an_unparsable_file() {
+        let path = scratch_file("garbage");
+        std::fs::write(&path, "not json {").unwrap();
+        merge_json_entry(&path, "fig4a", wall(1.0)).unwrap();
+        let doc = reparse(&path);
+        assert_eq!(doc.as_object().map(Map::len), Some(1));
+        assert_eq!(wall_of(&doc, "fig4a"), Some(1.0));
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]

@@ -1,19 +1,19 @@
 //! Shared workload drivers for the evaluation binaries.
 
 use snacc_apps::system::{layout, HostSystem, SnaccSystem, SystemConfig};
-use snacc_core::config::StreamerVariant;
+use snacc_core::config::{StreamerConfig, StreamerVariant};
 use snacc_core::streamer::encode_read_cmd;
 use snacc_faults::FaultPlan;
 use snacc_fpga::axis::{self, StreamBeat};
 use snacc_nvme::NvmeProfile;
-use snacc_sim::{SimDuration, SimTime};
+use snacc_sim::SimDuration;
 use snacc_spdk::{SpdkConfig, SpdkNvme};
 
 /// Release a system's functional stores. The component graph is an
 /// `Rc`-cycle web (hooks ↔ targets ↔ state), so dropping a system does
 /// not free it; the multi-GiB sparse media would otherwise accumulate
 /// across jobs in one process.
-fn scrub_snacc(sys: &mut SnaccSystem) {
+pub fn scrub_snacc(sys: &mut SnaccSystem) {
     sys.nvme.with(|d| d.nand_mut().media_mut().clear());
     sys.hostmem.borrow_mut().store_mut().clear();
 }
@@ -277,10 +277,13 @@ pub fn snacc_seq_bandwidth_with(
     (rates, summary)
 }
 
-/// Random 4 KiB bandwidth through the streamer (Fig 4b): `total` bytes in
-/// 4 KiB requests at random offsets within a pre-warmed 1 GiB extent.
-pub fn snacc_rand_bandwidth(variant: StreamerVariant, dir: Dir, total: u64, seed: u64) -> f64 {
-    let mut sys = SnaccSystem::bring_up(SystemConfig::snacc(variant));
+/// Random 4 KiB bandwidth through a streamer built from `streamer` (Fig
+/// 4b; the Sec 7 out-of-order extension passes
+/// [`StreamerConfig::snacc_ooo`]): `total` bytes in 4 KiB requests at
+/// random offsets within a pre-warmed 1 GiB extent.
+pub fn snacc_rand_bandwidth(streamer: StreamerConfig, dir: Dir, total: u64, seed: u64) -> f64 {
+    let paper = SystemConfig::snacc(streamer.variant);
+    let mut sys = SnaccSystem::bring_up(SystemConfig { streamer, ..paper });
     let span = 1u64 << 30;
     sys.nvme.with(|d| d.nand_mut().prewarm(0, span, 0x3C));
     let mut rng = snacc_sim::SimRng::new(seed);
@@ -464,7 +467,6 @@ pub fn spdk_seq_series(dir: Dir, total: u64, seed: u64) -> Vec<f64> {
         let t0 = host.en.now();
         let mut cur = off;
         // Closed loop within the window at QD 64 via polling steps.
-        let mut inflight = 0u64;
         let done = std::rc::Rc::new(std::cell::RefCell::new(0u64));
         let d2 = done.clone();
         spdk.set_completion_hook(move |_, _| *d2.borrow_mut() += 1);
@@ -479,13 +481,11 @@ pub fn spdk_seq_series(dir: Dir, total: u64, seed: u64) -> Vec<f64> {
                 }
                 .expect("submit");
                 cur += 1 << 20;
-                inflight += 1;
             }
             if !host.en.step() && *done.borrow() < window_cmds {
                 panic!("SPDK window stalled");
             }
         }
-        let _ = inflight;
         let dt = host.en.now().since(t0).as_secs_f64();
         out.push((end - off) as f64 / 1e9 / dt);
         off = end;
@@ -525,7 +525,6 @@ pub fn spdk_latency_us(dir: Dir, trials: u32, seed: u64) -> f64 {
         host.en.run();
         sum += lat.borrow().as_us_f64();
     }
-    let _ = SimTime::ZERO;
     scrub_host(&mut host);
     sum / trials as f64
 }

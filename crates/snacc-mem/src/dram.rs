@@ -10,7 +10,6 @@
 
 use crate::segment::SegmentMemory;
 use snacc_sim::bytes::Payload;
-use snacc_sim::stats::Counter;
 use snacc_sim::{Bandwidth, SharedLink, SimDuration, SimTime};
 
 /// Direction of a memory access.
@@ -58,9 +57,9 @@ pub struct DramController {
     store: SegmentMemory,
     bus: SharedLink,
     last_dir: Option<MemDir>,
-    direction_switches: Counter,
-    reads: Counter,
-    writes: Counter,
+    direction_switches: u64,
+    reads: u64,
+    writes: u64,
 }
 
 impl DramController {
@@ -72,9 +71,9 @@ impl DramController {
             store: SegmentMemory::new(),
             bus,
             last_dir: None,
-            direction_switches: Counter::new(),
-            reads: Counter::new(),
-            writes: Counter::new(),
+            direction_switches: 0,
+            reads: 0,
+            writes: 0,
         }
     }
 
@@ -85,17 +84,17 @@ impl DramController {
 
     /// Number of read accesses served.
     pub fn reads(&self) -> u64 {
-        self.reads.get()
+        self.reads
     }
 
     /// Number of write accesses served.
     pub fn writes(&self) -> u64 {
-        self.writes.get()
+        self.writes
     }
 
     /// Number of bus-direction switches incurred.
     pub fn direction_switches(&self) -> u64 {
-        self.direction_switches.get()
+        self.direction_switches
     }
 
     /// Total bytes moved over the data bus.
@@ -116,14 +115,14 @@ impl DramController {
     /// [`write`](Self::write) which call it.
     pub fn access(&mut self, now: SimTime, dir: MemDir, bytes: u64) -> SimTime {
         match dir {
-            MemDir::Read => self.reads.inc(),
-            MemDir::Write => self.writes.inc(),
+            MemDir::Read => self.reads += 1,
+            MemDir::Write => self.writes += 1,
         }
         let mut penalty = SimDuration::ZERO;
         if let Some(last) = self.last_dir {
             if last != dir {
                 penalty += self.cfg.turnaround;
-                self.direction_switches.inc();
+                self.direction_switches += 1;
             }
         }
         self.last_dir = Some(dir);

@@ -22,7 +22,6 @@ use crate::tlp::{wire_bytes, READ_REQUEST_BYTES};
 /// not queue behind bulk data windows.
 pub const CTRL_TLP_BYTES: u64 = 512;
 use snacc_mem::{AddrRange, AddressMap};
-use snacc_sim::stats::ByteMeter;
 use snacc_sim::{Engine, SharedLink, SimDuration, SimRng, SimTime};
 use snacc_trace as trace;
 use snacc_trace::MeterHandle;
@@ -184,8 +183,8 @@ pub struct PcieFabric {
     rc_forward: SimDuration,
     /// Payload bytes per *transaction* (counted once, not per link) — the
     /// paper's Fig 7 "data transfers over the PCIe bus" metric.
-    payload: ByteMeter,
-    /// Registry mirror of `payload` (`pcie.payload` in metrics snapshots).
+    payload_bytes: u64,
+    /// Registry mirror of `payload_bytes` (`pcie.payload` in metrics snapshots).
     payload_meter: MeterHandle,
     /// Fault injector, absent in normal operation.
     faults: Option<PcieFaultState>,
@@ -206,7 +205,7 @@ impl PcieFabric {
             map: AddressMap::new(),
             iommu: Iommu::passthrough(),
             rc_forward: SimDuration::from_ns(100),
-            payload: ByteMeter::new(),
+            payload_bytes: 0,
             payload_meter: trace::metric_meter("pcie.payload"),
             faults: None,
         }
@@ -344,7 +343,7 @@ impl PcieFabric {
     /// PCIe bus"): a P2P move is one transfer, staging through host
     /// memory is two.
     pub fn total_payload_bytes(&self) -> u64 {
-        self.payload.bytes()
+        self.payload_bytes
     }
 
     /// Reset all byte meters (e.g. after warm-up).
@@ -353,7 +352,7 @@ impl PcieFabric {
             d.up.reset_meter();
             d.down.reset_meter();
         }
-        self.payload = ByteMeter::new();
+        self.payload_bytes = 0;
         self.payload_meter.reset();
     }
 
@@ -423,7 +422,7 @@ impl PcieFabric {
         }
         let p2p = requester != HOST_NODE && target_node != HOST_NODE;
         let mps = self.mps_for(requester, target_node);
-        self.payload.record(len);
+        self.payload_bytes += len;
         self.payload_meter.record(len);
 
         // Request phase: header-only TLP towards the target (control
@@ -523,7 +522,7 @@ impl PcieFabric {
         let mps = self.mps_for(requester, target_node);
         let wire = wire_bytes(len, mps);
         let small = len <= CTRL_TLP_BYTES;
-        self.payload.record(len);
+        self.payload_bytes += len;
         self.payload_meter.record(len);
 
         let mut t = start;
@@ -588,7 +587,7 @@ impl PcieFabric {
         }
         let p2p = requester != HOST_NODE && target_node != HOST_NODE;
         let mps = self.mps_for(requester, target_node);
-        self.payload.record(len);
+        self.payload_bytes += len;
         self.payload_meter.record(len);
 
         // Request phase: header-only TLP towards the target (control
@@ -679,7 +678,7 @@ impl PcieFabric {
         let mps = self.mps_for(requester, target_node);
         let wire = wire_bytes(len, mps);
         let small = len <= CTRL_TLP_BYTES;
-        self.payload.record(len);
+        self.payload_bytes += len;
         self.payload_meter.record(len);
 
         let mut t = start;

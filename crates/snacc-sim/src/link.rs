@@ -6,7 +6,6 @@
 //! fixed propagation latency, so contention between concurrent users falls
 //! out naturally from `free_at` bookkeeping instead of explicit queues.
 
-use crate::stats::ByteMeter;
 use crate::time::{SimDuration, SimTime};
 use std::fmt;
 
@@ -92,7 +91,8 @@ pub struct SharedLink {
     bandwidth: Bandwidth,
     latency: SimDuration,
     free_at: SimTime,
-    meter: ByteMeter,
+    bytes: u64,
+    ops: u64,
 }
 
 impl SharedLink {
@@ -103,7 +103,8 @@ impl SharedLink {
             bandwidth,
             latency,
             free_at: SimTime::ZERO,
-            meter: ByteMeter::new(),
+            bytes: 0,
+            ops: 0,
         }
     }
 
@@ -129,12 +130,12 @@ impl SharedLink {
 
     /// Total bytes ever moved across this link.
     pub fn bytes_transferred(&self) -> u64 {
-        self.meter.bytes()
+        self.bytes
     }
 
     /// Total transfer operations.
     pub fn transfers(&self) -> u64 {
-        self.meter.ops()
+        self.ops
     }
 
     /// Book a transfer of `bytes` requested at `now`; returns arrival time
@@ -143,7 +144,7 @@ impl SharedLink {
         let start = now.max(self.free_at);
         let occupy = self.bandwidth.time_for(bytes);
         self.free_at = start + occupy;
-        self.meter.record(bytes);
+        self.record(bytes);
         self.free_at + self.latency
     }
 
@@ -156,7 +157,7 @@ impl SharedLink {
     /// completion.
     pub fn transfer_interleaved(&mut self, now: SimTime, bytes: u64) -> SimTime {
         let occupy = self.bandwidth.time_for(bytes);
-        self.meter.record(bytes);
+        self.record(bytes);
         now + occupy + self.latency
     }
 
@@ -171,24 +172,31 @@ impl SharedLink {
         let start = now.max(self.free_at);
         let occupy = self.bandwidth.time_for(bytes) + overhead;
         self.free_at = start + occupy;
-        self.meter.record(bytes);
+        self.record(bytes);
         self.free_at + self.latency
     }
 
     /// Observed average throughput between t = 0 and `now`.
     pub fn observed_bandwidth(&self, now: SimTime) -> Bandwidth {
         let secs = now.as_secs_f64();
-        if secs <= 0.0 || self.meter.bytes() == 0 {
+        if secs <= 0.0 || self.bytes == 0 {
             return Bandwidth::gb_per_s(f64::MIN_POSITIVE);
         }
         Bandwidth {
-            bytes_per_sec: self.meter.bytes() as f64 / secs,
+            bytes_per_sec: self.bytes as f64 / secs,
         }
+    }
+
+    /// Count one transfer of `bytes`.
+    fn record(&mut self, bytes: u64) {
+        self.bytes += bytes;
+        self.ops += 1;
     }
 
     /// Reset byte accounting (keeps timing state).
     pub fn reset_meter(&mut self) {
-        self.meter = ByteMeter::new();
+        self.bytes = 0;
+        self.ops = 0;
     }
 }
 
