@@ -13,6 +13,11 @@
 //! shape, which must stay zero-copy), and dense 48 B writes into one
 //! window (the fragmentation case the copy-on-write coalescer bounds).
 //!
+//! Two more time the NVMe command path on its own (controller, PRP
+//! walk, PCIe fabric TLPs, NAND, no streamer): 1 MiB read and write
+//! commands between the media and a URAM BAR, both holding each MiB as
+//! 16 distinct 64 KiB windows, issued straight into host-memory queues.
+//!
 //! Run with `cargo bench -p snacc-bench --bench datapath`; set
 //! `SNACC_QUICK=1` for the CI smoke sizes.
 
@@ -21,11 +26,145 @@ use snacc_apps::pipeline::{run_snacc_case_study, CaseStudyConfig};
 use snacc_apps::system::{SnaccSystem, SystemConfig};
 use snacc_bench::workloads::{self, Dir};
 use snacc_core::config::{StreamerConfig, StreamerVariant};
-use snacc_mem::SegmentMemory;
-use snacc_sim::{Payload, SimRng};
+use snacc_mem::{AddrRange, HostMemory, SegmentMemory, UramConfig, UramModel};
+use snacc_nvme::spec::{self, AdminOpcode, Cqe, IoOpcode, Sqe, Status};
+use snacc_nvme::{NvmeDeviceHandle, NvmeProfile};
+use snacc_pcie::target::{HostMemTarget, UramTarget};
+use snacc_pcie::{PcieFabric, PcieLinkConfig, HOST_NODE};
+use snacc_sim::{Engine, Payload, SimRng};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn quick() -> bool {
     std::env::var_os("SNACC_QUICK").is_some()
+}
+
+const MIB: u64 = 1 << 20;
+const BAR0: u64 = 0x8000_0000;
+const URAM_BAR: u64 = 0x40_0000_0000;
+const ASQ: u64 = 0x10_0000;
+const ACQ: u64 = 0x11_0000;
+const IO_SQ: u64 = 0x20_0000;
+const IO_CQ: u64 = 0x30_0000;
+/// One PRP list page per URAM slot.
+const LISTS: u64 = 0x40_0000;
+/// 1 MiB URAM slots the commands rotate through.
+const SLOTS: u64 = 4;
+
+/// One MiB as 16 distinct 64 KiB windows.
+fn windows(seed: u64) -> Vec<Payload> {
+    (0..16)
+        .map(|k| Payload::pattern(seed * 16 + k, 64 << 10))
+        .collect()
+}
+
+/// The NVMe command path without a streamer: admin and I/O queues in
+/// host memory, an SSD, and a 4 MiB URAM BAR on one fabric. The media
+/// holds `cmds` MiB and URAM its slots, each MiB as 16 windows.
+struct NvmeRig {
+    en: Engine,
+    fabric: Rc<RefCell<PcieFabric>>,
+    hostmem: Rc<RefCell<HostMemory>>,
+    dev: NvmeDeviceHandle,
+    admin_tail: u16,
+}
+
+impl NvmeRig {
+    fn new(cmds: u64) -> NvmeRig {
+        let mut fab = PcieFabric::new();
+        let hostmem = Rc::new(RefCell::new(HostMemory::default()));
+        let host = Rc::new(RefCell::new(HostMemTarget::new(hostmem.clone(), 0)));
+        fab.map_region(HOST_NODE, AddrRange::new(0, 1 << 30), host);
+        let fpga = fab.add_device("fpga", PcieLinkConfig::alveo_u280());
+        let uram = UramModel::new("uram", UramConfig::snacc_default());
+        let uram = Rc::new(RefCell::new(uram));
+        let bar = Rc::new(RefCell::new(UramTarget::new(uram.clone())));
+        fab.map_region(fpga, AddrRange::new(URAM_BAR, SLOTS * MIB), bar);
+        let fabric = Rc::new(RefCell::new(fab));
+        let dev = NvmeDeviceHandle::attach(fabric.clone(), BAR0, NvmeProfile::samsung_990pro(), 7);
+        dev.with(|d| {
+            for i in 0..cmds {
+                d.nand_mut().media_mut().write_parts(i * MIB, windows(i));
+            }
+        });
+        let mut hm = hostmem.borrow_mut();
+        for s in 0..SLOTS {
+            uram.borrow_mut()
+                .store_mut()
+                .write_parts(s * MIB, windows(1000 + s));
+            let entries: Vec<u8> = (1..256)
+                .flat_map(|k| (URAM_BAR + s * MIB + k * 4096).to_le_bytes())
+                .collect();
+            hm.store_mut().write(LISTS + s * 4096, &entries);
+        }
+        drop(hm);
+        let mut rig = NvmeRig {
+            en: Engine::new(),
+            fabric,
+            hostmem,
+            dev,
+            admin_tail: 0,
+        };
+        rig.reg(spec::regs::AQA, (31 << 16) | 31);
+        rig.reg(spec::regs::ASQ, ASQ as u32);
+        rig.reg(spec::regs::ACQ, ACQ as u32);
+        rig.reg(spec::regs::CC, spec::cc::EN);
+        rig.en.run();
+        let mut cq = Sqe::new(AdminOpcode::CreateIoCq as u8, 1);
+        cq.prp1 = IO_CQ;
+        cq.cdw[0] = 1 | (255 << 16);
+        cq.cdw[1] = 1;
+        rig.admin(cq);
+        let mut sq = Sqe::new(AdminOpcode::CreateIoSq as u8, 2);
+        sq.prp1 = IO_SQ;
+        sq.cdw[0] = 1 | (255 << 16);
+        sq.cdw[1] = 1 | (1 << 16);
+        rig.admin(sq);
+        rig
+    }
+
+    fn reg(&mut self, off: u64, v: u32) {
+        let mut fab = self.fabric.borrow_mut();
+        fab.write_u32(&mut self.en, HOST_NODE, BAR0 + off, v)
+            .expect("BAR0 mapped");
+    }
+
+    fn admin(&mut self, sqe: Sqe) {
+        let slot = self.admin_tail as u64;
+        let mut hm = self.hostmem.borrow_mut();
+        hm.store_mut().write(ASQ + slot * 64, &sqe.encode());
+        drop(hm);
+        self.admin_tail += 1;
+        self.reg(spec::regs::sq_tail_doorbell(0), self.admin_tail as u32);
+        self.en.run();
+        let raw = self
+            .hostmem
+            .borrow_mut()
+            .store_mut()
+            .read_vec(ACQ + slot * 16, 16);
+        let cqe = Cqe::decode(&raw).expect("admin CQE");
+        assert_eq!(cqe.status, Status::Success);
+    }
+
+    /// Submit `cmds` 1 MiB commands at once and run them to completion;
+    /// returns the bytes the controller moved.
+    fn run(&mut self, op: IoOpcode, cmds: u64) -> u64 {
+        assert!(cmds < 256, "one pass of the 256-entry ring");
+        let mut hm = self.hostmem.borrow_mut();
+        for i in 0..cmds {
+            let slot = i % SLOTS;
+            let mut sqe = Sqe::io(op, i as u16, i * MIB / 512, (MIB / 512 - 1) as u16);
+            sqe.prp1 = URAM_BAR + slot * MIB;
+            sqe.prp2 = LISTS + slot * 4096;
+            hm.store_mut().write(IO_SQ + i * 64, &sqe.encode());
+        }
+        drop(hm);
+        self.reg(spec::regs::sq_tail_doorbell(1), cmds as u32);
+        self.en.run();
+        let st = self.dev.stats();
+        assert_eq!(st.read_cmds + st.write_cmds, cmds, "every command succeeds");
+        st.read_bytes + st.write_bytes
+    }
 }
 
 fn datapath_benches(c: &mut Criterion) {
@@ -121,6 +260,21 @@ fn datapath_benches(c: &mut Criterion) {
             black_box(m.segment_count())
         })
     });
+
+    // The NVMe command path alone: 1 MiB commands over 16 x 64 KiB
+    // media windows through the fabric into (and out of) URAM.
+    let cmds: u64 = if q { 32 } else { 128 };
+    for (name, op) in [
+        ("nvme_read_1mib", IoOpcode::Read),
+        ("nvme_write_1mib", IoOpcode::Write),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut rig = NvmeRig::new(cmds);
+                black_box(rig.run(op, cmds))
+            })
+        });
+    }
 
     g.finish();
 }

@@ -115,17 +115,29 @@ impl SegmentMemory {
     }
 
     /// Write `parts` back to back from `addr` (one logical write delivered
-    /// in pieces, e.g. the TLPs of a DMA). Every part is inserted before
-    /// the coalescing check runs, once per 1 MiB window the write touched,
-    /// so a write whose parts re-join into page-sized windows is never
-    /// materialised because one of its parts was transiently sub-page.
+    /// in pieces, e.g. the TLPs of a DMA). Adjacent parts that continue
+    /// the same backing are joined before they are inserted, so 256 page
+    /// slices of one 64 KiB window cost one insert, not 256. Every part is
+    /// inserted before the coalescing check runs, once per 1 MiB window
+    /// the write touched, so a write whose parts re-join into page-sized
+    /// windows is never materialised because one of its parts was
+    /// transiently sub-page.
     pub fn write_parts(&mut self, addr: u64, parts: impl IntoIterator<Item = Payload>) {
         let mut end = addr;
+        let mut run_start = addr;
+        let mut run = Payload::empty();
         for p in parts {
             let n = p.len() as u64;
-            self.insert_segment(end, p);
+            match run.try_join(&p) {
+                Some(joined) => run = joined,
+                None => {
+                    self.insert_segment(run_start, std::mem::replace(&mut run, p));
+                    run_start = end;
+                }
+            }
             end += n;
         }
+        self.insert_segment(run_start, run);
         self.bytes_written += end - addr;
         if end > addr {
             let first = addr / COALESCE_WINDOW;

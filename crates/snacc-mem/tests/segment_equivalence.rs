@@ -1,9 +1,11 @@
 //! Property tests: [`SegmentMemory`] is byte-equivalent to the
 //! page-materialising [`SparseMemory`] under arbitrary write / read /
-//! overwrite / span / fill / copy sequences — the segment store is a pure
-//! representation change (zero-copy windows + CoW coalescing) and must
-//! never alter what a read returns. Also checks that `resident_pages` is
-//! monotone while no `clear` happens (coverage only ever grows).
+//! overwrite / span / fill / copy / multi-part write sequences — the
+//! segment store is a pure representation change (zero-copy windows + CoW
+//! coalescing) and must never alter what a read returns. Also checks that
+//! `resident_pages` is monotone while no `clear` happens (coverage only
+//! ever grows), and that a multi-part write leaves the segments writing
+//! its parts one at a time would.
 
 use proptest::prelude::*;
 use snacc_mem::{SegmentMemory, SparseMemory};
@@ -22,7 +24,7 @@ fn apply(seg: &mut SegmentMemory, sparse: &mut SparseMemory, op: [u64; 4]) {
     let [sel, a, l, s] = op;
     let addr = a % SPACE;
     let len = 1 + l % 5000;
-    match sel % 6 {
+    match sel % 7 {
         0 => {
             // Byte write of deterministic junk.
             let data: Vec<u8> = (0..len).map(|i| (s ^ i) as u8).collect();
@@ -56,12 +58,51 @@ fn apply(seg: &mut SegmentMemory, sparse: &mut SparseMemory, op: [u64; 4]) {
             let bytes = sparse.read_vec(addr, len as usize);
             sparse.write(dst, &bytes);
         }
-        _ => {
+        5 => {
             // Scalar writes.
             seg.write_u64(addr, s);
             sparse.write_u64(addr, s);
         }
+        _ => {
+            // One write delivered as parts: adjacent slices of one buffer
+            // with parts of other backings mixed in.
+            let parts = mixed_parts(s, 1 + (l % 48) as usize, 1 + (a % 200) as usize);
+            let n: usize = parts.iter().map(Payload::len).sum();
+            let addr = addr.min(SPACE - n as u64);
+            for (p, at) in parts.iter().zip(part_addrs(addr, &parts)) {
+                sparse.write(at, p.as_slice());
+            }
+            seg.write_parts(addr, parts);
+        }
     }
+}
+
+/// `count` back-to-back parts of `len` bytes each: slices of one buffer,
+/// except where bit k of `s` picks a part of its own backing.
+fn mixed_parts(s: u64, count: usize, len: usize) -> Vec<Payload> {
+    let big = Payload::pattern(s, count * len);
+    (0..count)
+        .map(|k| {
+            if (s >> (k % 64)) & 1 == 1 {
+                Payload::from_vec(vec![k as u8; len])
+            } else {
+                big.slice(k * len..(k + 1) * len)
+            }
+        })
+        .collect()
+}
+
+/// Start address of each of `parts` when written back to back from `addr`.
+fn part_addrs(addr: u64, parts: &[Payload]) -> Vec<u64> {
+    let mut at = addr;
+    parts
+        .iter()
+        .map(|p| {
+            let a = at;
+            at += p.len() as u64;
+            a
+        })
+        .collect()
 }
 
 proptest! {
@@ -151,5 +192,41 @@ proptest! {
         );
         let want = sparse.read_vec(0, WINDOW as usize);
         prop_assert_eq!(seg.read_vec(0, WINDOW as usize), want);
+    }
+
+    /// `write_parts` of 256 back-to-back parts (adjacent slices of one
+    /// buffer, with other backings mixed in) stores the same bytes as the
+    /// byte store and, for page-sized parts, exactly as many segments as
+    /// writing the parts one at a time.
+    #[test]
+    fn write_parts_matches_one_at_a_time(
+        s in any::<u64>(),
+        at in 0u64..WINDOW,
+        sub_page in any::<bool>(),
+        prewarm in any::<bool>(),
+    ) {
+        let len = if sub_page { 1 + (s % 4000) as usize } else { PAGE as usize };
+        let parts = mixed_parts(s, 256, len);
+        let addr = if sub_page { at } else { at / PAGE * PAGE };
+        let span = 2 * WINDOW + 256 * PAGE;
+        let mut batched = SegmentMemory::new();
+        let mut single = SegmentMemory::new();
+        let mut sparse = SparseMemory::new();
+        if prewarm {
+            batched.fill(0, span, 0x3c);
+            single.fill(0, span, 0x3c);
+            sparse.write(0, &vec![0x3c; span as usize]);
+        }
+        for (p, a) in parts.iter().zip(part_addrs(addr, &parts)) {
+            single.write_payload(a, p.clone());
+            sparse.write(a, p.as_slice());
+        }
+        batched.write_parts(addr, parts);
+        let want = sparse.read_vec(0, span as usize);
+        prop_assert!(batched.read_vec(0, span as usize) == want, "write_parts bytes differ");
+        prop_assert!(single.read_vec(0, span as usize) == want, "write_payload bytes differ");
+        if !sub_page {
+            prop_assert_eq!(batched.segment_count(), single.segment_count());
+        }
     }
 }

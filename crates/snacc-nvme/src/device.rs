@@ -20,7 +20,7 @@ use crate::queue::CqWriter;
 use crate::spec::{self, Cqe, IoOpcode, Sqe, Status, LBA_BYTES, NVME_PAGE, SQE_BYTES};
 use snacc_mem::AddrRange;
 use snacc_pcie::{MmioTarget, NodeId, PcieFabric, HOST_NODE};
-use snacc_sim::{Engine, Payload, SimDuration, SimRng, SimTime};
+use snacc_sim::{Engine, Payload, PayloadQueue, SimDuration, SimRng, SimTime};
 use snacc_trace as trace;
 use std::cell::{OnceCell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
@@ -958,12 +958,12 @@ fn exec_io_inner(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16, sqe: S
             // Media first; delivery is scheduled at media-ready time so
             // that commands book the return link in *completion* order —
             // this is what lets fast commands overtake slow ones and
-            // produces genuinely out-of-order CQEs. The media hands back a
-            // zero-copy payload view; lazy fill/pattern segments are never
-            // materialised on this path.
-            let (data, t_media) = {
+            // produces genuinely out-of-order CQEs. The media hands back
+            // zero-copy views of its stored segments, never a joined copy,
+            // so lazy fill/pattern segments stay lazy on this path.
+            let (parts, t_media) = {
                 let mut d = rc.borrow_mut();
-                d.nand.read_payload(t_prp, byte_addr, byte_len)
+                d.nand.read_parts(t_prp, byte_addr, byte_len)
             };
             if trace::enabled() {
                 trace::span_between(
@@ -997,30 +997,21 @@ fn exec_io_inner(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16, sqe: S
                 };
                 let readout_start = t_ready - spread;
                 let now = en.now();
-                let mut t = t_ready;
-                let mut off = 0usize;
-                let mut failed = false;
+                // Every PRP page is its own TLP with its own timing; the
+                // fabric moves each back-to-back run's bytes in one batch.
+                // Pages are carved from the media parts zero-copy unless a
+                // page straddles two stored segments.
+                let mut data = PayloadQueue::from(parts);
                 let n_segs = segs.len() as u64;
-                for (k, seg) in segs.iter().enumerate() {
-                    let chunk = data.slice(off..off + seg.len as usize);
+                let tlps = segs.iter().enumerate().map(|(k, seg)| {
                     let issue = readout_start + spread * (k as u64 + 1) / n_segs.max(1);
-                    let r = fabric.borrow_mut().write_payload_at(
-                        en,
-                        issue.max(now),
-                        node,
-                        seg.addr,
-                        chunk,
-                    );
-                    match r {
-                        Ok(done) => t = t.max(done),
-                        Err(_) => {
-                            failed = true;
-                            break;
-                        }
-                    }
-                    off += seg.len as usize;
-                }
-                let status = if failed {
+                    (issue.max(now), seg.addr, data.take(seg.len as usize))
+                });
+                let mut t = t_ready;
+                let r = fabric
+                    .borrow_mut()
+                    .write_parts_at(en, node, tlps, |done| t = t.max(done));
+                let status = if r.is_err() {
                     Status::DataTransferError
                 } else {
                     let mut d = rc2.borrow_mut();
@@ -1038,11 +1029,10 @@ fn exec_io_inner(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16, sqe: S
             });
         }
         IoOpcode::Write => {
-            // Credit-windowed data fetch, then cache admission. Fetched
-            // segments stay zero-copy payload windows end-to-end: the
-            // fabric hands back views of the source buffer's segment
-            // store and the media retains them as-is.
-            let mut parts: Vec<snacc_sim::bytes::Payload> = Vec::with_capacity(segs.len());
+            // Credit-windowed data fetch, then cache admission. Every PRP
+            // page books its own read TLP (credits, links, target port);
+            // the bytes are then gathered once, as zero-copy views of the
+            // source buffer's segment store, and the media retains them.
             let mut t_issue = t_prp;
             let mut t_data = t_prp;
             let mut failed = false;
@@ -1076,7 +1066,7 @@ fn exec_io_inner(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16, sqe: S
                         t_issue += stall;
                     }
                 }
-                let r = fabric.borrow_mut().read_payload_at(
+                let r = fabric.borrow_mut().book_read_at(
                     en,
                     t_issue.max(en.now()),
                     node,
@@ -1084,8 +1074,7 @@ fn exec_io_inner(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16, sqe: S
                     seg.len,
                 );
                 match r {
-                    Ok((chunk, done)) => {
-                        parts.push(chunk);
+                    Ok(done) => {
                         t_data = t_data.max(done);
                         let mut d = rc.borrow_mut();
                         let ring = if is_host {
@@ -1101,7 +1090,13 @@ fn exec_io_inner(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16, sqe: S
                     }
                 }
             }
-            if failed {
+            let fetched = if failed {
+                None
+            } else {
+                let pages = segs.iter().map(|s| (s.addr, s.len));
+                fabric.borrow_mut().read_parts(en, node, pages).ok()
+            };
+            let Some(parts) = fetched else {
                 let out = CqeOut {
                     cid: sqe.cid,
                     status: Status::DataTransferError,
@@ -1110,7 +1105,7 @@ fn exec_io_inner(rc: &Rc<RefCell<NvmeDevice>>, en: &mut Engine, qid: u16, sqe: S
                 };
                 complete(rc, en, t_data, qid, out);
                 return;
-            }
+            };
             // Cache admission happens when the data has arrived; the CQE
             // is posted at admission time (volatile write cache). Both are
             // event-scheduled so completion writes book the link in true
@@ -1365,6 +1360,58 @@ mod tests {
         assert_eq!(st.read_cmds, 1);
         assert_eq!(st.write_cmds, 1);
         assert_eq!(st.read_bytes, 8192);
+    }
+
+    #[test]
+    fn read_lands_media_segments_without_joining_them() {
+        // 1 MiB stored as 16 distinct 64 KiB windows reaches host memory
+        // as the same 16 windows: the read path never concatenates them.
+        let mut r = TestRig::new();
+        r.enable();
+        r.create_io_queues(1, 0x30_0000, 0x31_0000, 64);
+        let windows: Vec<Payload> = (0..16u32)
+            .map(|w| Payload::from_vec((0..65536u32).map(|b| (b * 7 + w * 13) as u8).collect()))
+            .collect();
+        let slba = 8192;
+        r.dev.with(|d| {
+            let nand = d.nand_mut();
+            nand.write_parts(SimTime::ZERO, slba * LBA_BYTES, windows.clone(), false);
+        });
+        // PRP1 names the first page; a list page names the other 255.
+        let (dst, list) = (0x100_0000u64, 0x20_0000u64);
+        let entries: Vec<u8> = (1..256u64)
+            .flat_map(|k| (dst + k * NVME_PAGE).to_le_bytes())
+            .collect();
+        r.hostmem.borrow_mut().store_mut().write(list, &entries);
+        let mut rd = Sqe::io(IoOpcode::Read, 3, slba, 2047); // 1 MiB
+        rd.prp1 = dst;
+        rd.prp2 = list;
+        r.hostmem
+            .borrow_mut()
+            .store_mut()
+            .write(0x30_0000, &rd.encode());
+        r.fabric
+            .borrow_mut()
+            .write_u32(
+                &mut r.en,
+                HOST_NODE,
+                BAR0 + spec::regs::sq_tail_doorbell(1),
+                1,
+            )
+            .unwrap();
+        r.en.run();
+        let cqe = Cqe::decode(&r.hostmem.borrow_mut().store_mut().read_vec(0x31_0000, 16))
+            .expect("CQE decodes");
+        assert_eq!(cqe.status, Status::Success);
+        let parts = r
+            .hostmem
+            .borrow_mut()
+            .store_mut()
+            .read_payload_parts(dst, 1 << 20);
+        assert_eq!(parts.len(), 16, "host store holds one segment per window");
+        for (got, want) in parts.iter().zip(&windows) {
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -272,15 +272,16 @@ impl NandBackend {
         self.read_timing(now, addr, out.len() as u64)
     }
 
-    /// Zero-copy read: return the media bytes as a [`Payload`] view plus
-    /// the media-ready time. Timing is identical to [`read`](Self::read);
-    /// the returned payload shares the stored segments' backings (lazy
-    /// prewarm fill stays lazy end-to-end).
-    pub fn read_payload(&mut self, now: SimTime, addr: u64, len: u64) -> (Payload, SimTime) {
+    /// Zero-copy read: return the media bytes as payload parts (in address
+    /// order, one per stored segment the span crosses, gaps as lazy
+    /// zero-fill) plus the media-ready time. Timing is identical to
+    /// [`read`](Self::read). No byte is copied: every part shares a stored
+    /// segment's backing, so lazy prewarm fill stays lazy end-to-end.
+    pub fn read_parts(&mut self, now: SimTime, addr: u64, len: u64) -> (Vec<Payload>, SimTime) {
         assert!(self.in_bounds(addr, len), "media read OOB");
-        let p = self.media.read_payload(addr, len as usize);
+        let parts = self.media.read_payload_parts(addr, len as usize);
         self.media_reads += len;
-        (p, self.read_timing(now, addr, len))
+        (parts, self.read_timing(now, addr, len))
     }
 
     fn read_timing(&mut self, now: SimTime, addr: u64, len: u64) -> SimTime {

@@ -22,6 +22,7 @@ use crate::tlp::{wire_bytes, READ_REQUEST_BYTES};
 /// not queue behind bulk data windows.
 pub const CTRL_TLP_BYTES: u64 = 512;
 use snacc_mem::{AddrRange, AddressMap};
+use snacc_sim::bytes::Payload;
 use snacc_sim::{Engine, SharedLink, SimDuration, SimRng, SimTime};
 use snacc_trace as trace;
 use snacc_trace::MeterHandle;
@@ -157,8 +158,32 @@ struct PcieFaultState {
     reg_degraded: trace::CounterHandle,
 }
 
-/// Decoded MMIO route: (offset within the window, owning node, target).
-type DecodedTarget = (u64, NodeId, Rc<RefCell<dyn MmioTarget>>);
+/// A routed, permission-checked transaction: what it asks for (issue
+/// time, requester, address, length) and where it lands (owning node,
+/// target, offset within the target's window).
+struct Tlp {
+    start: SimTime,
+    requester: NodeId,
+    addr: u64,
+    len: u64,
+    node: NodeId,
+    target: Rc<RefCell<dyn MmioTarget>>,
+    offset: u64,
+}
+
+impl Tlp {
+    /// Does `next` continue this transaction on the same target, back to
+    /// back? Such runs move their bytes in one target call.
+    fn continued_by(&self, next: &Tlp) -> bool {
+        Rc::ptr_eq(&self.target, &next.target) && self.offset + self.len == next.offset
+    }
+
+    /// The bytes this transaction covers, from its target, with no timing.
+    fn gather(&self, en: &mut Engine) -> Vec<Payload> {
+        let mut target = self.target.borrow_mut();
+        target.read_parts(en, self.offset, self.len as usize)
+    }
+}
 
 struct DeviceLink {
     name: String,
@@ -370,19 +395,133 @@ impl PcieFabric {
         }
     }
 
-    fn decode(&self, addr: u64, len: u64) -> Result<DecodedTarget, PcieError> {
+    /// Check the IOMMU, decode the target and reject local accesses.
+    fn route(
+        &mut self,
+        start: SimTime,
+        requester: NodeId,
+        addr: u64,
+        len: u64,
+    ) -> Result<Tlp, PcieError> {
+        if requester != HOST_NODE && !self.iommu.check(requester, addr, len) {
+            return Err(PcieError::IommuFault { requester, addr });
+        }
         let (range, entry) = self
             .map
             .decode_span(addr, len)
             .ok_or(PcieError::Unmapped { addr, len })?;
-        Ok((range.offset_of(addr), entry.node, entry.target.clone()))
+        if requester == entry.node {
+            return Err(PcieError::LocalAccess);
+        }
+        Ok(Tlp {
+            start,
+            requester,
+            addr,
+            len,
+            node: entry.node,
+            target: entry.target.clone(),
+            offset: range.offset_of(addr),
+        })
     }
 
-    fn check_iommu(&mut self, requester: NodeId, addr: u64, len: u64) -> Result<(), PcieError> {
-        if requester != HOST_NODE && !self.iommu.check(requester, addr, len) {
-            return Err(PcieError::IommuFault { requester, addr });
+    /// Book `bytes` from `src` to `dst` issued at `t`: the up-link of
+    /// `src`, the root-complex hop when both are devices, the down-link of
+    /// `dst`. Control traffic interleaves; bulk data queues on the links.
+    fn book_hops(
+        &mut self,
+        mut t: SimTime,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u64,
+        ctrl: bool,
+    ) -> SimTime {
+        let xfer = |l: &mut SharedLink, t| {
+            if ctrl {
+                l.transfer_interleaved(t, bytes)
+            } else {
+                l.transfer(t, bytes)
+            }
+        };
+        if src != HOST_NODE {
+            t = xfer(&mut self.devices[src.0 - 1].up, t);
         }
-        Ok(())
+        if src != HOST_NODE && dst != HOST_NODE {
+            t += self.rc_forward;
+        }
+        if dst != HOST_NODE {
+            t = xfer(&mut self.devices[dst.0 - 1].down, t);
+        }
+        t
+    }
+
+    /// Count `tlp`'s payload and book its data from `src` to `dst` from
+    /// `t`; payloads up to [`CTRL_TLP_BYTES`] ride as control TLPs.
+    fn book_data(&mut self, tlp: &Tlp, t: SimTime, src: NodeId, dst: NodeId) -> SimTime {
+        self.payload_bytes += tlp.len;
+        self.payload_meter.record(tlp.len);
+        let wire = wire_bytes(tlp.len, self.mps_for(src, dst));
+        self.book_hops(t, src, dst, wire, tlp.len <= CTRL_TLP_BYTES)
+    }
+
+    /// Close `tlp` whose last byte lands at `t`: apply the degradation
+    /// window and give bulk transfers (control TLPs would swamp the trace)
+    /// an issue→completion span on the requesting device's track.
+    fn finish(&mut self, name: &'static str, tlp: &Tlp, t: SimTime) -> SimTime {
+        let t = self.degrade(tlp.start, tlp.len, t);
+        if tlp.len > CTRL_TLP_BYTES && trace::enabled() {
+            let dev = if tlp.requester != HOST_NODE {
+                tlp.requester
+            } else {
+                tlp.node
+            };
+            trace::span_between(
+                &format!("pcie.{}", self.devices[dev.0 - 1].name),
+                name,
+                tlp.start,
+                t,
+                &[("addr", tlp.addr), ("len", tlp.len)],
+            );
+        }
+        t
+    }
+
+    /// One non-posted read: a header-only request towards the target,
+    /// `serve` at the target (its result and service latency), then the
+    /// completion data back to the requester.
+    fn read_with<R>(
+        &mut self,
+        en: &mut Engine,
+        start: SimTime,
+        requester: NodeId,
+        (addr, len): (u64, u64),
+        serve: impl FnOnce(&mut dyn MmioTarget, &mut Engine, SimTime, u64) -> (R, SimDuration),
+    ) -> Result<(R, SimTime), PcieError> {
+        debug_assert!(start >= en.now());
+        let tlp = self.route(start, requester, addr, len)?;
+        if self.draw_timeout(en, start, len, addr) {
+            return Err(PcieError::CompletionTimeout { requester, addr });
+        }
+        let t = self.book_hops(start, requester, tlp.node, READ_REQUEST_BYTES, true);
+        let (out, service) = serve(&mut *tlp.target.borrow_mut(), en, t, tlp.offset);
+        let t = self.book_data(&tlp, t + service, tlp.node, requester);
+        Ok((out, self.finish("tlp.read", &tlp, t)))
+    }
+
+    /// The link half of one posted write: route it, count its payload and
+    /// book the requester → target links. Returns the transaction and the
+    /// time its data reaches the target.
+    fn write_links(
+        &mut self,
+        en: &Engine,
+        start: SimTime,
+        requester: NodeId,
+        addr: u64,
+        len: u64,
+    ) -> Result<(Tlp, SimTime), PcieError> {
+        debug_assert!(start >= en.now());
+        let tlp = self.route(start, requester, addr, len)?;
+        let t = self.book_data(&tlp, start, requester, tlp.node);
+        Ok((tlp, t))
     }
 
     /// A non-posted read: `requester` reads `out.len()` bytes at fabric
@@ -410,83 +549,11 @@ impl PcieFabric {
         addr: u64,
         out: &mut [u8],
     ) -> Result<SimTime, PcieError> {
-        debug_assert!(start >= en.now());
-        let len = out.len() as u64;
-        self.check_iommu(requester, addr, len)?;
-        let (offset, target_node, target) = self.decode(addr, len)?;
-        if requester == target_node {
-            return Err(PcieError::LocalAccess);
-        }
-        if self.draw_timeout(en, start, len, addr) {
-            return Err(PcieError::CompletionTimeout { requester, addr });
-        }
-        let p2p = requester != HOST_NODE && target_node != HOST_NODE;
-        let mps = self.mps_for(requester, target_node);
-        self.payload_bytes += len;
-        self.payload_meter.record(len);
-
-        // Request phase: header-only TLP towards the target (control
-        // traffic: interleaves, never queues behind bulk data).
-        let mut t = start;
-        if requester != HOST_NODE {
-            t = self.devices[requester.0 - 1]
-                .up
-                .transfer_interleaved(t, READ_REQUEST_BYTES);
-        }
-        if p2p {
-            t += self.rc_forward;
-        }
-        if target_node != HOST_NODE {
-            t = self.devices[target_node.0 - 1]
-                .down
-                .transfer_interleaved(t, READ_REQUEST_BYTES);
-        }
-
-        // Service at the target.
-        let service = target.borrow_mut().read(en, t, offset, out);
-        t += service;
-
-        // Completion phase: data flows back to the requester. Small
-        // completions interleave; bulk data queues on the links.
-        let wire = wire_bytes(len, mps);
-        let small = len <= CTRL_TLP_BYTES;
-        if target_node != HOST_NODE {
-            let l = &mut self.devices[target_node.0 - 1].up;
-            t = if small {
-                l.transfer_interleaved(t, wire)
-            } else {
-                l.transfer(t, wire)
-            };
-        }
-        if p2p {
-            t += self.rc_forward;
-        }
-        if requester != HOST_NODE {
-            let l = &mut self.devices[requester.0 - 1].down;
-            t = if small {
-                l.transfer_interleaved(t, wire)
-            } else {
-                l.transfer(t, wire)
-            };
-        }
-        t = self.degrade(start, len, t);
-        // Bulk transfers (control TLPs would swamp the trace) get an
-        // issue→completion span on the requesting device's track.
-        if !small && trace::enabled() {
-            let dev = if requester != HOST_NODE {
-                requester
-            } else {
-                target_node
-            };
-            trace::span_between(
-                &format!("pcie.{}", self.devices[dev.0 - 1].name),
-                "tlp.read",
-                start,
-                t,
-                &[("addr", addr), ("len", len)],
-            );
-        }
-        Ok(t)
+        let span = (addr, out.len() as u64);
+        self.read_with(en, start, requester, span, |tg, en, t, off| {
+            ((), tg.read(en, t, off, out))
+        })
+        .map(|((), t)| t)
     }
 
     /// A posted write: `requester` writes `data` at fabric address `addr`.
@@ -511,63 +578,15 @@ impl PcieFabric {
         addr: u64,
         data: &[u8],
     ) -> Result<SimTime, PcieError> {
-        debug_assert!(start >= en.now());
-        let len = data.len() as u64;
-        self.check_iommu(requester, addr, len)?;
-        let (offset, target_node, target) = self.decode(addr, len)?;
-        if requester == target_node {
-            return Err(PcieError::LocalAccess);
-        }
-        let p2p = requester != HOST_NODE && target_node != HOST_NODE;
-        let mps = self.mps_for(requester, target_node);
-        let wire = wire_bytes(len, mps);
-        let small = len <= CTRL_TLP_BYTES;
-        self.payload_bytes += len;
-        self.payload_meter.record(len);
-
-        let mut t = start;
-        if requester != HOST_NODE {
-            let l = &mut self.devices[requester.0 - 1].up;
-            t = if small {
-                l.transfer_interleaved(t, wire)
-            } else {
-                l.transfer(t, wire)
-            };
-        }
-        if p2p {
-            t += self.rc_forward;
-        }
-        if target_node != HOST_NODE {
-            let l = &mut self.devices[target_node.0 - 1].down;
-            t = if small {
-                l.transfer_interleaved(t, wire)
-            } else {
-                l.transfer(t, wire)
-            };
-        }
-        let service = target.borrow_mut().write(en, t, offset, data);
-        let done = self.degrade(start, len, t + service);
-        if !small && trace::enabled() {
-            let dev = if requester != HOST_NODE {
-                requester
-            } else {
-                target_node
-            };
-            trace::span_between(
-                &format!("pcie.{}", self.devices[dev.0 - 1].name),
-                "tlp.write",
-                start,
-                done,
-                &[("addr", addr), ("len", len)],
-            );
-        }
-        Ok(done)
+        let (tlp, t) = self.write_links(en, start, requester, addr, data.len() as u64)?;
+        let service = tlp.target.borrow_mut().write(en, t, tlp.offset, data);
+        Ok(self.finish("tlp.write", &tlp, t + service))
     }
 
     /// Zero-copy variant of [`read_at`](Self::read_at): the target returns
-    /// the bytes as a [`snacc_sim::bytes::Payload`] view of its segment
-    /// store instead of filling a caller buffer. Timing, fault injection,
-    /// TLP accounting and tracing are identical to the byte path.
+    /// the bytes as a [`Payload`] view of its segment store instead of
+    /// filling a caller buffer. Timing, fault injection, TLP accounting and
+    /// tracing are identical to the byte path.
     pub fn read_payload_at(
         &mut self,
         en: &mut Engine,
@@ -575,149 +594,129 @@ impl PcieFabric {
         requester: NodeId,
         addr: u64,
         len: u64,
-    ) -> Result<(snacc_sim::bytes::Payload, SimTime), PcieError> {
-        debug_assert!(start >= en.now());
-        self.check_iommu(requester, addr, len)?;
-        let (offset, target_node, target) = self.decode(addr, len)?;
-        if requester == target_node {
-            return Err(PcieError::LocalAccess);
-        }
-        if self.draw_timeout(en, start, len, addr) {
-            return Err(PcieError::CompletionTimeout { requester, addr });
-        }
-        let p2p = requester != HOST_NODE && target_node != HOST_NODE;
-        let mps = self.mps_for(requester, target_node);
-        self.payload_bytes += len;
-        self.payload_meter.record(len);
+    ) -> Result<(Payload, SimTime), PcieError> {
+        self.read_with(en, start, requester, (addr, len), |tg, en, t, off| {
+            tg.read_payload(en, t, off, len as usize)
+        })
+    }
 
-        // Request phase: header-only TLP towards the target (control
-        // traffic: interleaves, never queues behind bulk data).
-        let mut t = start;
-        if requester != HOST_NODE {
-            t = self.devices[requester.0 - 1]
-                .up
-                .transfer_interleaved(t, READ_REQUEST_BYTES);
-        }
-        if p2p {
-            t += self.rc_forward;
-        }
-        if target_node != HOST_NODE {
-            t = self.devices[target_node.0 - 1]
-                .down
-                .transfer_interleaved(t, READ_REQUEST_BYTES);
-        }
+    /// Timing half of [`read_payload_at`](Self::read_payload_at): the same
+    /// bookings, fault draw, accounting and span, but the target only books
+    /// its port ([`MmioTarget::book_read`]). Fetch the bytes of the booked
+    /// reads afterwards with one [`read_parts`](Self::read_parts).
+    pub fn book_read_at(
+        &mut self,
+        en: &mut Engine,
+        start: SimTime,
+        requester: NodeId,
+        addr: u64,
+        len: u64,
+    ) -> Result<SimTime, PcieError> {
+        self.read_with(en, start, requester, (addr, len), |tg, en, t, off| {
+            ((), tg.book_read(en, t, off, len as usize))
+        })
+        .map(|((), t)| t)
+    }
 
-        // Service at the target.
-        let (data, service) = target
-            .borrow_mut()
-            .read_payload(en, t, offset, len as usize);
-        t += service;
-
-        // Completion phase: data flows back to the requester. Small
-        // completions interleave; bulk data queues on the links.
-        let wire = wire_bytes(len, mps);
-        let small = len <= CTRL_TLP_BYTES;
-        if target_node != HOST_NODE {
-            let l = &mut self.devices[target_node.0 - 1].up;
-            t = if small {
-                l.transfer_interleaved(t, wire)
-            } else {
-                l.transfer(t, wire)
-            };
+    /// Functional half of reads booked with
+    /// [`book_read_at`](Self::book_read_at): the bytes of `pages`
+    /// (`(addr, len)` in order) as zero-copy parts, one
+    /// [`MmioTarget::read_parts`] per back-to-back run on one target. No
+    /// timing, accounting or fault draws; fails only where the booking
+    /// would have (IOMMU, unmapped, local access).
+    pub fn read_parts(
+        &mut self,
+        en: &mut Engine,
+        requester: NodeId,
+        pages: impl IntoIterator<Item = (u64, u64)>,
+    ) -> Result<Vec<Payload>, PcieError> {
+        let now = en.now();
+        let mut parts = Vec::new();
+        let mut run: Option<Tlp> = None;
+        for (addr, len) in pages {
+            let tlp = self.route(now, requester, addr, len)?;
+            match &mut run {
+                Some(head) if head.continued_by(&tlp) => head.len += len,
+                _ => {
+                    if let Some(head) = run.replace(tlp) {
+                        parts.extend(head.gather(en));
+                    }
+                }
+            }
         }
-        if p2p {
-            t += self.rc_forward;
+        if let Some(head) = run {
+            let last = head.gather(en);
+            if parts.is_empty() {
+                return Ok(last);
+            }
+            parts.extend(last);
         }
-        if requester != HOST_NODE {
-            let l = &mut self.devices[requester.0 - 1].down;
-            t = if small {
-                l.transfer_interleaved(t, wire)
-            } else {
-                l.transfer(t, wire)
-            };
-        }
-        t = self.degrade(start, len, t);
-        if !small && trace::enabled() {
-            let dev = if requester != HOST_NODE {
-                requester
-            } else {
-                target_node
-            };
-            trace::span_between(
-                &format!("pcie.{}", self.devices[dev.0 - 1].name),
-                "tlp.read",
-                start,
-                t,
-                &[("addr", addr), ("len", len)],
-            );
-        }
-        Ok((data, t))
+        Ok(parts)
     }
 
     /// Zero-copy variant of [`write_at`](Self::write_at): the target
-    /// retains the [`snacc_sim::bytes::Payload`] window in its segment
-    /// store instead of copying from a caller buffer. Timing, fault
-    /// injection, TLP accounting and tracing are identical to the byte
-    /// path.
+    /// retains the [`Payload`] window in its segment store instead of
+    /// copying from a caller buffer. Timing, fault injection, TLP
+    /// accounting and tracing are identical to the byte path.
     pub fn write_payload_at(
         &mut self,
         en: &mut Engine,
         start: SimTime,
         requester: NodeId,
         addr: u64,
-        data: snacc_sim::bytes::Payload,
+        data: Payload,
     ) -> Result<SimTime, PcieError> {
-        debug_assert!(start >= en.now());
-        let len = data.len() as u64;
-        self.check_iommu(requester, addr, len)?;
-        let (offset, target_node, target) = self.decode(addr, len)?;
-        if requester == target_node {
-            return Err(PcieError::LocalAccess);
-        }
-        let p2p = requester != HOST_NODE && target_node != HOST_NODE;
-        let mps = self.mps_for(requester, target_node);
-        let wire = wire_bytes(len, mps);
-        let small = len <= CTRL_TLP_BYTES;
-        self.payload_bytes += len;
-        self.payload_meter.record(len);
+        let (tlp, t) = self.write_links(en, start, requester, addr, data.len() as u64)?;
+        let service = tlp
+            .target
+            .borrow_mut()
+            .write_payload(en, t, tlp.offset, data);
+        Ok(self.finish("tlp.write", &tlp, t + service))
+    }
 
-        let mut t = start;
-        if requester != HOST_NODE {
-            let l = &mut self.devices[requester.0 - 1].up;
-            t = if small {
-                l.transfer_interleaved(t, wire)
-            } else {
-                l.transfer(t, wire)
-            };
+    /// A DMA of posted writes, `tlps` = `(issue time, addr, data)` in
+    /// order. Each TLP books exactly what
+    /// [`write_payload_at`](Self::write_payload_at) books, in the same
+    /// order; the bytes of each back-to-back run on one target land in one
+    /// [`MmioTarget::write_parts`]. `on_done` receives the completion time
+    /// of every delivered TLP, in order. On an error at TLP k, exactly TLPs
+    /// `0..k` are delivered and the error is returned.
+    pub fn write_parts_at(
+        &mut self,
+        en: &mut Engine,
+        requester: NodeId,
+        tlps: impl IntoIterator<Item = (SimTime, u64, Payload)>,
+        mut on_done: impl FnMut(SimTime),
+    ) -> Result<(), PcieError> {
+        let tlps = tlps.into_iter();
+        let mut routed = Vec::with_capacity(tlps.size_hint().0);
+        let mut parts = Vec::with_capacity(tlps.size_hint().0);
+        let mut result = Ok(());
+        for (start, addr, data) in tlps {
+            match self.write_links(en, start, requester, addr, data.len() as u64) {
+                Ok((tlp, arrival)) => {
+                    routed.push(tlp);
+                    parts.push((arrival, data));
+                }
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
+            }
         }
-        if p2p {
-            t += self.rc_forward;
+        let mut from = 0;
+        for run in routed.chunk_by(Tlp::continued_by) {
+            let batch = &mut parts[from..from + run.len()];
+            run[0]
+                .target
+                .borrow_mut()
+                .write_parts(en, run[0].offset, batch);
+            from += run.len();
         }
-        if target_node != HOST_NODE {
-            let l = &mut self.devices[target_node.0 - 1].down;
-            t = if small {
-                l.transfer_interleaved(t, wire)
-            } else {
-                l.transfer(t, wire)
-            };
+        for (tlp, (t, _)) in routed.iter().zip(parts) {
+            on_done(self.finish("tlp.write", tlp, t));
         }
-        let service = target.borrow_mut().write_payload(en, t, offset, data);
-        let done = self.degrade(start, len, t + service);
-        if !small && trace::enabled() {
-            let dev = if requester != HOST_NODE {
-                requester
-            } else {
-                target_node
-            };
-            trace::span_between(
-                &format!("pcie.{}", self.devices[dev.0 - 1].name),
-                "tlp.write",
-                start,
-                done,
-                &[("addr", addr), ("len", len)],
-            );
-        }
-        Ok(done)
+        result
     }
 
     /// Convenience: 32-bit register read (host driver MMIO).

@@ -7,7 +7,7 @@
 //! (e.g. a doorbell write triggering command fetch) are deferred via the
 //! engine handle.
 
-use snacc_mem::{DramController, HostMemory, SparseMemory, UramModel};
+use snacc_mem::{DramController, HostMemory, MemDir, SparseMemory, UramModel};
 use snacc_sim::bytes::Payload;
 use snacc_sim::{Engine, SimDuration, SimTime};
 use std::cell::RefCell;
@@ -59,6 +59,47 @@ pub trait MmioTarget {
         data: Payload,
     ) -> SimDuration {
         self.write(en, arrival, offset, data.as_slice())
+    }
+
+    /// Absorb `parts` back to back from `offset` — one DMA's TLPs
+    /// delivered as a batch. Each part comes with its arrival time; on
+    /// return that time has become the part's completion time (arrival
+    /// plus service latency) and the payload has been taken. The default
+    /// writes the parts one at a time through
+    /// [`write_payload`](Self::write_payload); memory-backed targets book
+    /// their port per part and insert the bytes once.
+    fn write_parts(&mut self, en: &mut Engine, offset: u64, parts: &mut [(SimTime, Payload)]) {
+        let mut off = offset;
+        for (t, p) in parts {
+            let data = std::mem::take(p);
+            let n = data.len() as u64;
+            *t += self.write_payload(en, *t, off, data);
+            off += n;
+        }
+    }
+
+    /// Timing half of a read of `len` bytes at `offset`: the service
+    /// latency, without handing out the bytes (fetch them afterwards with
+    /// [`read_parts`](Self::read_parts)). The default serves a full
+    /// [`read_payload`](Self::read_payload) and drops the bytes, so a
+    /// target that counts its reads sees a booked-then-gathered read twice;
+    /// memory-backed targets override it to book their port only.
+    fn book_read(
+        &mut self,
+        en: &mut Engine,
+        arrival: SimTime,
+        offset: u64,
+        len: usize,
+    ) -> SimDuration {
+        self.read_payload(en, arrival, offset, len).1
+    }
+
+    /// Functional half of a read: `len` bytes at `offset` as zero-copy
+    /// parts, with no timing. The default is one
+    /// [`read_payload`](Self::read_payload).
+    fn read_parts(&mut self, en: &mut Engine, offset: u64, len: usize) -> Vec<Payload> {
+        let now = en.now();
+        vec![self.read_payload(en, now, offset, len).0]
     }
 }
 
@@ -129,6 +170,32 @@ impl MmioTarget for HostMemTarget {
         let done = m.write_payload(arrival, self.base + offset, data);
         done.since(arrival)
     }
+
+    fn write_parts(&mut self, _en: &mut Engine, offset: u64, parts: &mut [(SimTime, Payload)]) {
+        let mut m = self.mem.borrow_mut();
+        for (t, p) in parts.iter_mut() {
+            *t = m.book_write(*t, p.len() as u64);
+        }
+        let at = self.base + offset;
+        m.store_mut()
+            .write_parts(at, parts.iter_mut().map(|(_, p)| std::mem::take(p)));
+    }
+
+    fn book_read(
+        &mut self,
+        _en: &mut Engine,
+        arrival: SimTime,
+        _offset: u64,
+        len: usize,
+    ) -> SimDuration {
+        let done = self.mem.borrow_mut().book_read(arrival, len as u64);
+        done.since(arrival)
+    }
+
+    fn read_parts(&mut self, _en: &mut Engine, offset: u64, len: usize) -> Vec<Payload> {
+        let mut m = self.mem.borrow_mut();
+        m.store_mut().read_payload_parts(self.base + offset, len)
+    }
 }
 
 /// A URAM buffer exposed through an FPGA BAR window.
@@ -194,6 +261,39 @@ impl MmioTarget for UramTarget {
         let mut u = self.uram.borrow_mut();
         let done = u.write_payload(arrival, offset, data);
         done.since(arrival)
+    }
+
+    fn write_parts(&mut self, _en: &mut Engine, offset: u64, parts: &mut [(SimTime, Payload)]) {
+        let mut u = self.uram.borrow_mut();
+        let mut off = offset;
+        for (t, p) in parts.iter_mut() {
+            let n = p.len() as u64;
+            *t = u.access(*t, MemDir::Write, off, n);
+            off += n;
+        }
+        let store = u.store_mut();
+        store.write_parts(offset, parts.iter_mut().map(|(_, p)| std::mem::take(p)));
+    }
+
+    fn book_read(
+        &mut self,
+        _en: &mut Engine,
+        arrival: SimTime,
+        offset: u64,
+        len: usize,
+    ) -> SimDuration {
+        let done = self
+            .uram
+            .borrow_mut()
+            .access(arrival, MemDir::Read, offset, len as u64);
+        done.since(arrival)
+    }
+
+    fn read_parts(&mut self, _en: &mut Engine, offset: u64, len: usize) -> Vec<Payload> {
+        self.uram
+            .borrow_mut()
+            .store_mut()
+            .read_payload_parts(offset, len)
     }
 }
 
@@ -262,6 +362,38 @@ impl MmioTarget for DramTarget {
         let mut d = self.dram.borrow_mut();
         let done = d.write_payload(arrival, self.window_base + offset, data);
         done.since(arrival)
+    }
+
+    fn write_parts(&mut self, _en: &mut Engine, offset: u64, parts: &mut [(SimTime, Payload)]) {
+        let mut d = self.dram.borrow_mut();
+        for (t, p) in parts.iter_mut() {
+            *t = d.access(*t, MemDir::Write, p.len() as u64);
+        }
+        let at = self.window_base + offset;
+        d.store_mut()
+            .write_parts(at, parts.iter_mut().map(|(_, p)| std::mem::take(p)));
+    }
+
+    fn book_read(
+        &mut self,
+        _en: &mut Engine,
+        arrival: SimTime,
+        _offset: u64,
+        len: usize,
+    ) -> SimDuration {
+        let done = self
+            .dram
+            .borrow_mut()
+            .access(arrival, MemDir::Read, len as u64);
+        done.since(arrival)
+    }
+
+    fn read_parts(&mut self, _en: &mut Engine, offset: u64, len: usize) -> Vec<Payload> {
+        let at = self.window_base + offset;
+        self.dram
+            .borrow_mut()
+            .store_mut()
+            .read_payload_parts(at, len)
     }
 }
 

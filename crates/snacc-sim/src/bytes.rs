@@ -351,6 +351,17 @@ fn same_backing(a: &Repr, b: &Repr) -> bool {
     }
 }
 
+impl From<Vec<Payload>> for PayloadQueue {
+    /// Queue `parts` in order, reusing the vector's buffer (no copy).
+    fn from(mut parts: Vec<Payload>) -> PayloadQueue {
+        parts.retain(|p| !p.is_empty());
+        PayloadQueue {
+            len: parts.iter().map(Payload::len).sum(),
+            segs: parts.into(),
+        }
+    }
+}
+
 impl Default for Payload {
     fn default() -> Self {
         Payload::empty()
