@@ -7,11 +7,13 @@
 //! (Ethernet frames → RX bridge → database controller → streamer), which
 //! moves every image byte across four model layers.
 //!
-//! Two more cases time the functional media layer on its own
+//! Three more cases time the functional media layer on its own
 //! (`SegmentMemory`, the store behind NAND and host memory): scattered
 //! 4 KiB writes and read-backs over a prewarmed span (the Fig 4b media
-//! shape, which must stay zero-copy), and dense 48 B writes into one
-//! window (the fragmentation case the copy-on-write coalescer bounds).
+//! shape, which must stay zero-copy), dense 48 B writes into one window
+//! (the fragmentation case the copy-on-write coalescer bounds), and 64 B
+//! writes cycling through a 64 KiB ring (the submission-queue shape,
+//! which lands in place once the ring is stored).
 //!
 //! Two more time the NVMe command path on its own (controller, PRP
 //! walk, PCIe fabric TLPs, NAND, no streamer): 1 MiB read and write
@@ -256,6 +258,17 @@ fn datapath_benches(c: &mut Criterion) {
             let mut rng = SimRng::new(9);
             for i in 0..tiny {
                 m.write(rng.gen_range((1 << 20) - 48), &[i as u8; 48]);
+            }
+            black_box(m.segment_count())
+        })
+    });
+
+    // 64 B byte writes cycling through a 64 KiB ring: the SQ-ring shape.
+    g.bench_function("media_ring_64b", |b| {
+        b.iter(|| {
+            let mut m = SegmentMemory::new();
+            for i in 0..tiny as u64 {
+                m.write((i % 1024) * 64, &[i as u8; 64]);
             }
             black_box(m.segment_count())
         })

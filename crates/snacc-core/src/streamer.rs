@@ -33,7 +33,7 @@ use snacc_sim::bytes::Payload;
 use snacc_sim::{Engine, SimDuration, SimTime};
 use snacc_trace::{self as trace, CounterHandle, HistogramHandle};
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
 
 const PAGE: u64 = 4096;
@@ -325,6 +325,9 @@ pub struct NvmeStreamer {
     accum: Option<WriteAccum>,
     next_xfer_id: u64,
     xfers: HashMap<u64, XferState>,
+    /// Sealed transfers with no outstanding segments, answered lowest id
+    /// first.
+    ready_xfers: BTreeSet<u64>,
     active_stream: Option<ReadStream>,
     issuing: bool,
     wr_busy: bool,
@@ -496,6 +499,7 @@ impl StreamerHandle {
             accum: None,
             next_xfer_id: 0,
             xfers: HashMap::new(),
+            ready_xfers: BTreeSet::new(),
             active_stream: None,
             issuing: false,
             wr_busy: false,
@@ -555,10 +559,10 @@ impl StreamerHandle {
                 .borrow_mut()
                 .set_space_hook(move |en| resume_stream_out(&rc, en));
             let rc = streamer.clone();
-            ports
-                .wr_resp
-                .borrow_mut()
-                .set_space_hook(move |en| try_retire(&rc, en));
+            ports.wr_resp.borrow_mut().set_space_hook(move |en| {
+                finish_xfers(&rc, en);
+                try_retire(&rc, en);
+            });
         }
         StreamerHandle { inner: streamer }
     }
@@ -1046,6 +1050,7 @@ fn pump_write_in(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
                 let xid = xfer_id;
                 s.accum = None;
                 s.xfers.get_mut(&xid).unwrap().sealed = true;
+                s.ready_xfers.insert(xid);
                 drop(s);
                 finish_xfers(rc, en);
                 pump_write_in(rc, en);
@@ -1616,6 +1621,9 @@ fn try_retire(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
                     s.ring_mut(BufKind::Write).free_oldest(region);
                     let x = s.xfers.get_mut(&xfer_id).expect("xfer tracked");
                     x.outstanding_segments -= 1;
+                    if x.sealed && x.outstanding_segments == 0 {
+                        s.ready_xfers.insert(xfer_id);
+                    }
                 }
                 finish_xfers(rc, en);
                 try_issue(rc, en);
@@ -1658,24 +1666,22 @@ fn try_retire(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
     }
 }
 
-/// Emit response tokens for write transfers whose segments all retired.
+/// Emit response tokens for write transfers whose segments all retired,
+/// lowest transfer id first.
 fn finish_xfers(rc: &Rc<RefCell<NvmeStreamer>>, en: &mut Engine) {
     loop {
-        let (done_id, bytes) = {
-            let s = rc.borrow();
-            match s
-                .xfers
-                .iter()
-                .find(|(_, x)| x.sealed && x.outstanding_segments == 0)
-            {
-                Some((&id, x)) => (id, x.bytes),
-                None => return,
-            }
+        let (done_id, bytes, ch) = {
+            let mut s = rc.borrow_mut();
+            let Some(id) = s.ready_xfers.pop_first() else {
+                return;
+            };
+            (id, s.xfers[&id].bytes, s.ports.wr_resp.clone())
         };
-        let ch = rc.borrow().ports.wr_resp.clone();
         let token = StreamBeat::last(bytes.to_le_bytes().to_vec());
         if !axis::push(&ch, en, token) {
-            return; // response channel full; its space hook retries
+            // Response channel full; its space hook retries.
+            rc.borrow_mut().ready_xfers.insert(done_id);
+            return;
         }
         let mut s = rc.borrow_mut();
         s.xfers.remove(&done_id);

@@ -277,3 +277,47 @@ fn sim_time_advances_realistically() {
     let gbps = data.len() as f64 / 1e9 / secs;
     assert!(gbps > 2.0 && gbps < 8.0, "write bandwidth {gbps} GB/s");
 }
+
+#[test]
+fn write_responses_pop_in_transfer_order_after_backpressure() {
+    let mut sys = build_system(StreamerVariant::Uram, true);
+    let ports = sys.streamer.ports();
+    // Fill the response channel with empty-write tokens (8 B each).
+    let mut queued = 0usize;
+    loop {
+        let header = StreamBeat::last(0u64.to_le_bytes().to_vec());
+        assert!(axis::push(&ports.wr_in, &mut sys.en, header));
+        sys.en.run();
+        if sys.streamer.metrics().responses.get() == queued as u64 {
+            break; // this one found the channel full
+        }
+        queued += 1;
+    }
+    // Two data transfers (ids after the stalled empty one) retire while
+    // the channel stays full, so every pending id is ready at once.
+    for (addr, len) in [(0u64, 8192usize), (1 << 20, 4096)] {
+        let beats = [
+            StreamBeat::mid(addr.to_le_bytes().to_vec()),
+            StreamBeat::last(patterned(len, addr)),
+        ];
+        for beat in beats {
+            assert!(axis::push(&ports.wr_in, &mut sys.en, beat));
+        }
+    }
+    sys.en.run();
+    assert_eq!(sys.streamer.metrics().write_cmds.get(), 2);
+    assert_eq!(sys.streamer.metrics().responses.get(), queued as u64);
+    let mut sizes = Vec::new();
+    while let Some(tok) = axis::pop(&ports.wr_resp, &mut sys.en) {
+        sizes.push(u64::from_le_bytes(tok.data[..8].try_into().unwrap()));
+    }
+    assert_eq!(sizes.len(), queued + 3, "every transfer is answered");
+    assert!(sizes[..queued + 1].iter().all(|&b| b == 0));
+    assert_eq!(
+        sizes[queued + 1..],
+        [8192, 4096],
+        "lowest transfer id first"
+    );
+    sys.en.run();
+    assert!(sys.streamer.is_idle());
+}

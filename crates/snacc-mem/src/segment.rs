@@ -5,9 +5,21 @@
 //! URAM). Instead of copying every written byte into 4 KiB pages, it keeps
 //! an ordered map of non-overlapping [`Payload`] windows:
 //!
-//! * **Writes retain the payload** — an O(1) metadata insert. Lazy pattern
-//!   or fill segments stay lazy; a 2 GiB synthetic write pass moves
-//!   O(segments) metadata instead of gigabytes of bytes.
+//! * **Payload writes retain the payload** — an O(log segments) metadata
+//!   insert that looks up its neighbours once. Lazy pattern or fill
+//!   segments stay lazy; a 2 GiB synthetic write pass moves O(segments)
+//!   metadata instead of gigabytes of bytes.
+//! * **Small byte writes land in place.** The byte API (`write` and the
+//!   scalar helpers) has to copy the caller's bytes once anyway. When one
+//!   segment covers the whole write and that segment is the *only* holder
+//!   of an owned byte backing ([`Payload::unique_mut`]), the bytes are
+//!   copied into that backing and the map is left alone. Any reader
+//!   snapshot, clone or sibling segment (e.g. the two halves of a trimmed
+//!   segment) keeps the backing shared, so nobody can observe the
+//!   mutation; such writes, and every write into pattern or fill
+//!   segments, take the insert path with a fresh backing instead. Rings,
+//!   PRP lists and completion entries therefore stop fragmenting once
+//!   their window has been materialised.
 //! * **Reads return zero-copy views** — a read covered by one segment is a
 //!   slice of that segment's backing; gaps come back as lazy zero-fill.
 //!   Only reads spanning multiple backings copy (via [`Payload::concat`]),
@@ -16,21 +28,24 @@
 //! * **Copy-on-write coalescing** bounds fragmentation: when more than
 //!   [`COALESCE_SEGS`] segments accumulate inside one 1 MiB window *and*
 //!   at least one of them is shorter than a page, the window is
-//!   materialised into a single owned segment. This is the only copying
-//!   path in the store. A window whose segments are all at least a page
-//!   long is left alone: their starts are at least a page apart, so it
-//!   holds at most `COALESCE_WINDOW / PAGE_SIZE` (256) segments and
-//!   per-segment metadata stays a few percent of the bytes described.
-//!   Scattered 4 KiB media writes therefore stay zero-copy, while windows
-//!   fragmented by sub-page writes (rings, PRP lists, tiny adversarial
-//!   writes) stay bounded at `COALESCE_SEGS + 2` segments.
+//!   materialised into a single owned segment. Besides the byte API's
+//!   copies this is the store's only copying path. The store keeps a
+//!   `(segments, sub-page segments)` count per window, so a write checks
+//!   the condition without scanning the window. A window whose segments
+//!   are all at least a page long is left alone: their starts are at
+//!   least a page apart, so it holds at most `COALESCE_WINDOW / PAGE_SIZE`
+//!   (256) segments and per-segment metadata stays a few percent of the
+//!   bytes described. Scattered 4 KiB media writes therefore stay
+//!   zero-copy, while windows fragmented by sub-page writes (rings, PRP
+//!   lists, tiny adversarial writes) stay bounded at `COALESCE_SEGS + 2`
+//!   segments.
 //!
 //! The byte-oriented API (`write`/`read`/`read_vec`/scalar helpers) matches
 //! `SparseMemory` so ring buffers, descriptor pages and tests work
 //! unchanged.
 
 use snacc_sim::bytes::Payload;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::sparse::PAGE_SIZE;
 
@@ -49,10 +64,58 @@ const FILL_CHUNK: u64 = 1 << 20;
 /// payload segments. See the module docs.
 #[derive(Default)]
 pub struct SegmentMemory {
-    /// Non-overlapping segments keyed by start byte address.
+    /// Non-overlapping segments keyed by start byte address. Every change
+    /// to the map updates `windows` to match.
     segs: BTreeMap<u64, Payload>,
+    windows: WindowCounts,
     bytes_written: u64,
     bytes_read: u64,
+}
+
+/// `(segments, sub-page segments)` per coalescing window, keyed by the
+/// window holding each segment's start. Windows without segments have no
+/// entry.
+#[derive(Default)]
+struct WindowCounts(HashMap<u64, (usize, usize)>);
+
+impl WindowCounts {
+    fn get(&self, win: u64) -> (usize, usize) {
+        self.0.get(&win).copied().unwrap_or_default()
+    }
+
+    /// Count a segment of `len` bytes starting at `start`.
+    fn add(&mut self, start: u64, len: usize) {
+        let c = self.0.entry(start / COALESCE_WINDOW).or_default();
+        c.0 += 1;
+        c.1 += usize::from(len < PAGE_SIZE);
+    }
+
+    /// Re-count a segment at `start` whose length went from `old` to `new`.
+    fn resize(&mut self, start: u64, old: usize, new: usize) {
+        let sub_page = new < PAGE_SIZE;
+        if (old < PAGE_SIZE) != sub_page {
+            let c = self
+                .0
+                .get_mut(&(start / COALESCE_WINDOW))
+                .expect("segment was counted");
+            if sub_page {
+                c.1 += 1;
+            } else {
+                c.1 -= 1;
+            }
+        }
+    }
+
+    /// Uncount a segment previously counted by [`add`](Self::add).
+    fn remove(&mut self, start: u64, len: usize) {
+        let win = start / COALESCE_WINDOW;
+        let c = self.0.get_mut(&win).expect("segment was counted");
+        c.0 -= 1;
+        c.1 -= usize::from(len < PAGE_SIZE);
+        if c.0 == 0 {
+            self.0.remove(&win);
+        }
+    }
 }
 
 impl SegmentMemory {
@@ -96,12 +159,27 @@ impl SegmentMemory {
         self.bytes_read
     }
 
-    /// Write `data` starting at byte address `addr` (copies `data` once
-    /// into a shared backing; prefer [`write_payload`](Self::write_payload)
-    /// on hot paths).
+    /// Write `data` starting at byte address `addr`. Copies `data` once:
+    /// in place when one segment covers the span and is the sole holder
+    /// of an owned byte backing (no map change), otherwise into a fresh
+    /// backing that is inserted like a payload write. Prefer
+    /// [`write_payload`](Self::write_payload) for bulk data.
     pub fn write(&mut self, addr: u64, data: &[u8]) {
         if data.is_empty() {
             return;
+        }
+        let end = addr + data.len() as u64;
+        if let Some((&s, seg)) = self.segs.range_mut(..=addr).next_back() {
+            if s + seg.len() as u64 >= end {
+                if let Some(bytes) = seg.unique_mut() {
+                    let off = (addr - s) as usize;
+                    // The byte-API boundary: this copy replaces the one
+                    // into a fresh backing below.
+                    bytes[off..off + data.len()].copy_from_slice(data);
+                    self.bytes_written += data.len() as u64;
+                    return;
+                }
+            }
         }
         self.write_payload(addr, Payload::from(data));
     }
@@ -236,6 +314,7 @@ impl SegmentMemory {
     /// Drop all contents.
     pub fn clear(&mut self) {
         self.segs.clear();
+        self.windows = WindowCounts::default();
     }
 
     /// Gather `[addr, addr + len)` as zero-copy parts: segment slices plus
@@ -294,87 +373,116 @@ impl SegmentMemory {
 
     /// Insert `data` at `addr`, trimming any overlapped extents of existing
     /// segments and re-joining with same-backing neighbours. All slicing is
-    /// zero-copy.
+    /// zero-copy. One predecessor lookup handles both the trim and the
+    /// join on the left; one forward walk from `addr` removes the covered
+    /// segments, keeps a tail reaching past the new window and stops at
+    /// the successor at `end`, the join candidate on the right.
     fn insert_segment(&mut self, addr: u64, data: Payload) {
         if data.is_empty() {
             return;
         }
         let end = addr + data.len() as u64;
-        // Trim a segment that starts before `addr` and overlaps it.
+        let mut start = addr;
+        let mut merged = data;
+        // The part of an overlapped segment reaching past `end`.
+        let mut tail = None;
         if let Some((&s, seg)) = self.segs.range_mut(..addr).next_back() {
             let seg_end = s + seg.len() as u64;
             if seg_end > addr {
-                let left = seg.slice(0..(addr - s) as usize);
-                let right = if seg_end > end {
-                    Some(seg.slice((end - s) as usize..seg.len()))
-                } else {
-                    None
-                };
-                *seg = left;
-                if let Some(tail) = right {
-                    self.segs.insert(end, tail);
+                if seg_end > end {
+                    tail = Some(seg.slice((end - s) as usize..seg.len()));
                 }
+                let old_len = seg.len();
+                *seg = seg.slice(0..(addr - s) as usize);
+                self.windows.resize(s, old_len, seg.len());
             }
-        }
-        // Remove segments starting inside the new window; keep any tail
-        // extending past it.
-        let covered: Vec<u64> = self.segs.range(addr..end).map(|(&s, _)| s).collect();
-        for s in covered {
-            let seg = self.segs.remove(&s).expect("listed");
-            let seg_end = s + seg.len() as u64;
-            if seg_end > end {
-                self.segs
-                    .insert(end, seg.slice((end - s) as usize..seg.len()));
-            }
-        }
-        // Join with the predecessor / successor when they continue the same
-        // backing buffer (zero-copy window merge).
-        let mut start = addr;
-        let mut merged = data;
-        if let Some((&s, seg)) = self.segs.range(..addr).next_back() {
             if s + seg.len() as u64 == addr {
                 if let Some(j) = seg.try_join(&merged) {
-                    self.segs.remove(&s);
+                    // The final `put` replaces the predecessor.
                     start = s;
                     merged = j;
                 }
             }
         }
-        if let Some(succ) = self.segs.get(&end) {
-            if let Some(j) = merged.try_join(succ) {
-                self.segs.remove(&end);
-                merged = j;
+        // A predecessor reaching past `end` leaves nothing else to remove.
+        let mut succ = None;
+        if tail.is_none() {
+            let joins_at_end =
+                |s: &u64, seg: &mut Payload| *s < end || merged.try_join(seg).is_some();
+            for (s, seg) in self.segs.extract_if(addr..=end, joins_at_end) {
+                self.windows.remove(s, seg.len());
+                let seg_end = s + seg.len() as u64;
+                if s == end {
+                    succ = Some(seg);
+                } else if seg_end > end {
+                    tail = Some(seg.slice((end - s) as usize..seg.len()));
+                }
             }
         }
-        self.segs.insert(start, merged);
+        if let Some(t) = tail {
+            match merged.try_join(&t) {
+                Some(j) => merged = j,
+                None => self.put(end, t),
+            }
+        } else if let Some(t) = succ {
+            merged = merged
+                .try_join(&t)
+                .expect("the walk only takes a joining successor");
+        }
+        self.put(start, merged);
+    }
+
+    /// Insert `seg` at `addr` (replacing any segment starting there) and
+    /// count it in its window.
+    fn put(&mut self, addr: u64, seg: Payload) {
+        let len = seg.len();
+        match self.segs.insert(addr, seg) {
+            Some(old) => self.windows.resize(addr, old.len(), len),
+            None => self.windows.add(addr, len),
+        }
     }
 
     /// If the 1 MiB window starting at `win_start` holds more than
     /// [`COALESCE_SEGS`] segments and one of them is shorter than a page,
-    /// materialise its covered extent into one owned segment (the store's
-    /// only copying path).
+    /// materialise its covered extent into one owned segment. The check
+    /// reads the window's counts; only a window that passes it is scanned.
     fn maybe_coalesce(&mut self, win_start: u64) {
+        let (count, sub_page) = self.windows.get(win_start / COALESCE_WINDOW);
+        debug_assert_eq!(
+            (count, sub_page),
+            self.scan_counts(win_start),
+            "window counts drifted from the segment map"
+        );
+        if count <= COALESCE_SEGS || sub_page == 0 {
+            return;
+        }
         let win_end = win_start + COALESCE_WINDOW;
-        let mut count = 0usize;
-        let mut sub_page = false;
+        let mut seen = 0usize;
+        let mut seen_sub_page = false;
         let mut lo = u64::MAX;
         let mut hi = 0u64;
         for (&s, seg) in self.segs.range(win_start..win_end) {
-            count += 1;
-            sub_page |= seg.len() < PAGE_SIZE;
+            seen += 1;
+            seen_sub_page |= seg.len() < PAGE_SIZE;
             lo = lo.min(s);
             hi = hi.max((s + seg.len() as u64).min(win_end));
-            if count > COALESCE_SEGS && sub_page {
+            if seen > COALESCE_SEGS && seen_sub_page {
                 break;
             }
         }
-        if count <= COALESCE_SEGS || !sub_page || lo >= hi {
-            return;
-        }
-        let len = (hi - lo) as usize;
-        let mut buf = vec![0u8; len];
+        let mut buf = vec![0u8; (hi - lo) as usize];
         self.read_at(lo, &mut buf);
         self.insert_segment(lo, Payload::from_vec(buf));
+    }
+
+    /// `(segments, sub-page segments)` starting in the window at
+    /// `win_start`, by scanning the map (checks the maintained counts).
+    fn scan_counts(&self, win_start: u64) -> (usize, usize) {
+        self.segs
+            .range(win_start..win_start + COALESCE_WINDOW)
+            .fold((0, 0), |(n, sub), (_, seg)| {
+                (n + 1, sub + usize::from(seg.len() < PAGE_SIZE))
+            })
     }
 }
 
@@ -573,6 +681,58 @@ mod tests {
             m.read_payload(2 * page, PAGE_SIZE),
             Payload::pattern(1, PAGE_SIZE)
         );
+    }
+
+    /// Fragment one window with 64 B writes until it is materialised.
+    fn coalesced_ring() -> SegmentMemory {
+        let mut m = SegmentMemory::new();
+        for i in 0..(2 * COALESCE_SEGS as u64) {
+            m.write(i * 128, &[i as u8; 64]);
+        }
+        m
+    }
+
+    #[test]
+    fn byte_write_into_materialised_window_lands_in_place() {
+        let mut m = coalesced_ring();
+        let before = m.segment_count();
+        m.write(3 * 128 + 8, &[0xab; 48]);
+        m.write_u64(40 * 128, 0x0102_0304_0506_0708);
+        assert_eq!(m.segment_count(), before, "no segment was split");
+        let mut want = vec![3u8; 64];
+        want[8..56].fill(0xab);
+        assert_eq!(m.read_vec(3 * 128, 64), want);
+        assert_eq!(m.read_u64(40 * 128), 0x0102_0304_0506_0708);
+        assert_eq!(m.read_vec(40 * 128 + 8, 56), vec![40u8; 56]);
+        assert_eq!(m.read_vec(4 * 128, 64), vec![4u8; 64]);
+    }
+
+    #[test]
+    fn byte_write_never_changes_a_held_snapshot() {
+        let mut m = coalesced_ring();
+        let snap = m.read_payload(5 * 128, 64);
+        m.write(5 * 128, &[0xcd; 64]);
+        assert_eq!(snap, vec![5u8; 64], "reader snapshot was mutated");
+        assert_eq!(m.read_vec(5 * 128, 64), vec![0xcd; 64]);
+        // Trim the window so its two halves share one backing: neither
+        // half is written in place, and each keeps its other bytes.
+        let mut m = coalesced_ring();
+        let cut = Payload::pattern(1, 128);
+        m.write_payload(10 * 128, cut.clone());
+        m.write(2 * 128, &[0xee; 16]);
+        m.write(20 * 128, &[0xef; 16]);
+        assert_eq!(m.read_vec(2 * 128 + 15, 2), vec![0xee, 2]);
+        assert_eq!(m.read_vec(20 * 128 + 15, 2), vec![0xef, 20]);
+        assert_eq!(m.read_payload(10 * 128, 128), cut);
+        for i in [0u64, 9, 11, 19, 30, 64] {
+            assert_eq!(m.read_vec(i * 128, 64), vec![i as u8; 64], "slot {i}");
+        }
+        // A zero-copy copy elsewhere shares the backing too.
+        let mut m = coalesced_ring();
+        m.copy_within(128, 1 << 20, 64);
+        m.write(128, &[0xaa; 8]);
+        assert_eq!(m.read_vec(1 << 20, 8), vec![1u8; 8]);
+        assert_eq!(m.read_vec(128, 8), vec![0xaa; 8]);
     }
 
     #[test]

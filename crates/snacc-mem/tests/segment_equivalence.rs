@@ -2,10 +2,11 @@
 //! page-materialising [`SparseMemory`] under arbitrary write / read /
 //! overwrite / span / fill / copy / multi-part write sequences — the
 //! segment store is a pure representation change (zero-copy windows + CoW
-//! coalescing) and must never alter what a read returns. Also checks that
-//! `resident_pages` is monotone while no `clear` happens (coverage only
-//! ever grows), and that a multi-part write leaves the segments writing
-//! its parts one at a time would.
+//! coalescing + in-place byte writes) and must never alter what a read
+//! returns, including a payload read earlier and still held. Also checks
+//! that `resident_pages` is monotone while no `clear` happens (coverage
+//! only ever grows), and that a multi-part write leaves the segments
+//! writing its parts one at a time would.
 
 use proptest::prelude::*;
 use snacc_mem::{SegmentMemory, SparseMemory};
@@ -20,11 +21,17 @@ const WINDOW: u64 = snacc_mem::segment::COALESCE_WINDOW;
 const PAGE: u64 = snacc_mem::sparse::PAGE_SIZE as u64;
 const PAGES: u64 = WINDOW / PAGE;
 
-fn apply(seg: &mut SegmentMemory, sparse: &mut SparseMemory, op: [u64; 4]) {
+/// Apply one op to both stores. A read op returns the segment store's
+/// payload together with the byte store's bytes for the same span.
+fn apply(
+    seg: &mut SegmentMemory,
+    sparse: &mut SparseMemory,
+    op: [u64; 4],
+) -> Option<(Payload, Vec<u8>)> {
     let [sel, a, l, s] = op;
     let addr = a % SPACE;
     let len = 1 + l % 5000;
-    match sel % 7 {
+    match sel % 8 {
         0 => {
             // Byte write of deterministic junk.
             let data: Vec<u8> = (0..len).map(|i| (s ^ i) as u8).collect();
@@ -63,7 +70,7 @@ fn apply(seg: &mut SegmentMemory, sparse: &mut SparseMemory, op: [u64; 4]) {
             seg.write_u64(addr, s);
             sparse.write_u64(addr, s);
         }
-        _ => {
+        6 => {
             // One write delivered as parts: adjacent slices of one buffer
             // with parts of other backings mixed in.
             let parts = mixed_parts(s, 1 + (l % 48) as usize, 1 + (a % 200) as usize);
@@ -74,7 +81,13 @@ fn apply(seg: &mut SegmentMemory, sparse: &mut SparseMemory, op: [u64; 4]) {
             }
             seg.write_parts(addr, parts);
         }
+        _ => {
+            // A zero-copy read the caller holds across the next op.
+            let p = seg.read_payload(addr, len as usize);
+            return Some((p, sparse.read_vec(addr, len as usize)));
+        }
     }
+    None
 }
 
 /// `count` back-to-back parts of `len` bytes each: slices of one buffer,
@@ -107,7 +120,8 @@ fn part_addrs(addr: u64, parts: &[Payload]) -> Vec<u64> {
 
 proptest! {
     /// Same bytes out under arbitrary op sequences, through every read
-    /// path, and `resident_pages` never shrinks.
+    /// path, a payload read stays unchanged while later ops (in-place
+    /// byte writes among them) run, and `resident_pages` never shrinks.
     #[test]
     fn segment_store_matches_byte_store(
         ops in proptest::collection::vec(any::<[u64; 4]>(), 1..32),
@@ -116,8 +130,16 @@ proptest! {
         let mut seg = SegmentMemory::new();
         let mut sparse = SparseMemory::new();
         let mut pages_before = 0usize;
+        let mut held: Option<(Payload, Vec<u8>)> = None;
         for op in ops {
-            apply(&mut seg, &mut sparse, op);
+            let read = apply(&mut seg, &mut sparse, op);
+            if let Some((p, want)) = held.take() {
+                prop_assert!(p.as_slice() == &want[..], "a held read changed");
+            }
+            if let Some((p, want)) = &read {
+                prop_assert_eq!(p.as_slice(), &want[..]);
+            }
+            held = read;
             let pages = seg.resident_pages();
             prop_assert!(
                 pages >= pages_before,

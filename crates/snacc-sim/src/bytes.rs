@@ -6,7 +6,9 @@
 //! cheaply-cloneable view into shared bytes: a reference-counted backing
 //! buffer plus an `(offset, len)` window. Cloning, slicing and splitting
 //! are O(1) and allocation-free; the bytes are copied at most once — at
-//! ingress, or never for pattern-generated synthetic data.
+//! ingress, or never for pattern-generated synthetic data. The one
+//! mutating accessor, [`Payload::unique_mut`], only hands out bytes that
+//! no other payload can see.
 //!
 //! `Payload` dereferences to `[u8]`, so read sites (`&beat.data[0..8]`,
 //! iteration, `len()`) work unchanged. The type is single-threaded by
@@ -167,6 +169,17 @@ impl Payload {
             Repr::Bytes(b) => &b[self.off..self.off + self.len],
             Repr::Pattern(p) => &p.bytes()[self.off..self.off + self.len],
             Repr::Fill(s) => &s.bytes()[self.off..self.off + self.len],
+        }
+    }
+
+    /// The bytes of this window, mutably — only when the backing is an
+    /// owned byte buffer that no other payload, slice or `Rc` shares
+    /// (`Rc::get_mut` succeeds), so nobody can observe the mutation.
+    /// Pattern and fill segments never qualify.
+    pub fn unique_mut(&mut self) -> Option<&mut [u8]> {
+        match &mut self.repr {
+            Repr::Bytes(b) => Rc::get_mut(b).map(|b| &mut b[self.off..self.off + self.len]),
+            _ => None,
         }
     }
 
@@ -564,6 +577,19 @@ mod tests {
         let (fa, fb) = f.split_at(10);
         assert_eq!(fa.try_join(&fb).expect("same fill backing"), f);
         assert!(fa.try_join(&Payload::fill(0, 8)).is_none());
+    }
+
+    #[test]
+    fn unique_mut_only_for_unshared_bytes() {
+        let mut p = Payload::from_vec(vec![0; 8]).slice(2..6);
+        p.unique_mut().expect("sole owner")[1] = 7;
+        assert_eq!(p.as_slice(), &[0, 7, 0, 0]);
+        let snapshot = p.slice(0..4);
+        assert!(p.unique_mut().is_none(), "a slice shares the backing");
+        drop(snapshot);
+        assert!(p.unique_mut().is_some());
+        assert!(Payload::pattern(1, 8).unique_mut().is_none());
+        assert!(Payload::fill(0, 8).unique_mut().is_none());
     }
 
     #[test]

@@ -4,7 +4,7 @@ use snacc_mem::{AddrRange, HostMemory};
 use snacc_nvme::{NvmeDeviceHandle, NvmeProfile};
 use snacc_pcie::target::HostMemTarget;
 use snacc_pcie::{PcieFabric, HOST_NODE};
-use snacc_sim::{Engine, SimRng, SimTime};
+use snacc_sim::{Engine, Payload, SimRng, SimTime};
 use snacc_spdk::{SpdkConfig, SpdkNvme};
 use std::cell::RefCell;
 use std::collections::HashSet;
@@ -228,4 +228,61 @@ fn prp_lists_are_stored_in_host_memory() {
     let distinct: HashSet<u8> = media.iter().copied().collect();
     assert_eq!(distinct.len(), 1);
     assert!(distinct.contains(&3));
+}
+
+#[test]
+fn queue_rings_stop_fragmenting_host_memory() {
+    // Closed-loop QD-64 4 KiB writes and reads. Every submission writes a
+    // 64 B SQE into the I/O SQ ring in host memory. Once the ring has
+    // wrapped, each SQE lands in place in an already-stored slot, so the
+    // host store's segment count stays flat instead of climbing towards
+    // the coalescing threshold between re-materialisations.
+    let mut r = rig(SpdkConfig::default());
+    let qd = 64u64;
+    let warmup = 384u64; // one 256-entry ring pass plus the primed window
+    let total = warmup + 640;
+    let counts = Rc::new(RefCell::new(Vec::new()));
+    let issued = Rc::new(RefCell::new(0u64));
+    let mut rng = SimRng::new(17);
+    let addrs: Rc<Vec<u64>> = Rc::new((0..total).map(|_| rng.gen_range(4096) * 4096).collect());
+    let submit = {
+        let (spdk, addrs, issued) = (r.spdk.clone(), addrs.clone(), issued.clone());
+        move |en: &mut Engine| {
+            let mut i = issued.borrow_mut();
+            if *i < total {
+                let addr = addrs[*i as usize];
+                if *i % 2 == 0 {
+                    spdk.submit_write_payload(en, addr, Payload::pattern(*i, 4096))
+                } else {
+                    spdk.submit_read(en, addr, 4096)
+                }
+                .expect("slot free");
+                *i += 1;
+            }
+        }
+    };
+    {
+        let (hostmem, counts, submit) = (r.hostmem.clone(), counts.clone(), submit.clone());
+        r.spdk.set_completion_hook(move |en, info| {
+            assert!(info.ok);
+            counts
+                .borrow_mut()
+                .push(hostmem.borrow_mut().store_mut().segment_count());
+            submit(en);
+        });
+    }
+    for _ in 0..qd {
+        submit(&mut r.en);
+    }
+    r.en.run();
+    let st = r.spdk.stats();
+    assert_eq!((st.completed, st.errors), (total, 0));
+    let counts = counts.borrow();
+    let warm = counts[warmup as usize - 1];
+    let after = &counts[warmup as usize..];
+    let (lo, hi) = (after.iter().min().unwrap(), after.iter().max().unwrap());
+    assert!(
+        hi - lo <= 4 && *hi <= warm + 4,
+        "host segments after warm-up ({warm}) ranged {lo}..={hi}"
+    );
 }
