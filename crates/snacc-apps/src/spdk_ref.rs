@@ -269,12 +269,12 @@ impl Inner {
                     .hostmem
                     .borrow_mut()
                     .store_mut()
-                    .read_vec(base, len as usize);
+                    .read_payload(base, len as usize);
                 out
             };
             let submit = {
                 let i = rc.borrow();
-                i.spdk.submit_write(en, ssd_addr, &data)
+                i.spdk.submit_write_payload(en, ssd_addr, data)
             };
             match submit {
                 Ok(_) => {
@@ -355,16 +355,8 @@ impl CaseSink for SpdkSink {
             let mut chunks = Vec::new();
             let mut off = 0u64;
             while off < data.len() as u64 {
-                let logical = stage_off + off;
-                let phys = i.buffers[idx].pinned.phys_addr(logical);
-                let seg_end = i.buffers[idx]
-                    .pinned
-                    .segments()
-                    .iter()
-                    .find(|s| s.contains(phys))
-                    .expect("in segment")
-                    .end();
-                let n = (seg_end - phys).min(data.len() as u64 - off);
+                let (phys, run) = i.buffers[idx].pinned.phys_run(stage_off + off);
+                let n = run.min(data.len() as u64 - off);
                 chunks.push((phys, off as usize, n as usize));
                 off += n;
             }
@@ -375,7 +367,7 @@ impl CaseSink for SpdkSink {
         for (phys, off, n) in phys_chunks {
             fabric
                 .borrow_mut()
-                .write(en, fpga, phys, &data[off..off + n])
+                .write_payload_at(en, en.now(), fpga, phys, data.slice(off..off + n))
                 .expect("staging reachable");
         }
         let mut i = self.inner.borrow_mut();

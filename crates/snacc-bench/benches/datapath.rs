@@ -15,10 +15,14 @@
 //! writes cycling through a 64 KiB ring (the submission-queue shape,
 //! which lands in place once the ring is stored).
 //!
-//! Two more time the NVMe command path on its own (controller, PRP
+//! Three more time the NVMe command path on its own (controller, PRP
 //! walk, PCIe fabric TLPs, NAND, no streamer): 1 MiB read and write
 //! commands between the media and a URAM BAR, both holding each MiB as
-//! 16 distinct 64 KiB windows, issued straight into host-memory queues.
+//! 16 distinct 64 KiB windows, issued straight into host-memory queues;
+//! and the write commands again reading pinned host buffers through an
+//! enforcing IOMMU that holds the Host-DRAM streamer's grant layout (five
+//! queue windows, then 2 × 16 pinned 4 MiB segments), so every TLP's
+//! grant lookup is part of the time.
 //!
 //! Run with `cargo bench -p snacc-bench --bench datapath`; set
 //! `SNACC_QUICK=1` for the CI smoke sizes.
@@ -28,11 +32,12 @@ use snacc_apps::pipeline::{run_snacc_case_study, CaseStudyConfig};
 use snacc_apps::system::{SnaccSystem, SystemConfig};
 use snacc_bench::workloads::{self, Dir};
 use snacc_core::config::{StreamerConfig, StreamerVariant};
+use snacc_mem::hostmem::HostMemConfig;
 use snacc_mem::{AddrRange, HostMemory, SegmentMemory, UramConfig, UramModel};
 use snacc_nvme::spec::{self, AdminOpcode, Cqe, IoOpcode, Sqe, Status};
 use snacc_nvme::{NvmeDeviceHandle, NvmeProfile};
 use snacc_pcie::target::{HostMemTarget, UramTarget};
-use snacc_pcie::{PcieFabric, PcieLinkConfig, HOST_NODE};
+use snacc_pcie::{Iommu, PcieFabric, PcieLinkConfig, HOST_NODE};
 use snacc_sim::{Engine, Payload, SimRng};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -50,8 +55,18 @@ const IO_SQ: u64 = 0x20_0000;
 const IO_CQ: u64 = 0x30_0000;
 /// One PRP list page per URAM slot.
 const LISTS: u64 = 0x40_0000;
-/// 1 MiB URAM slots the commands rotate through.
+/// 1 MiB data slots the commands rotate through.
 const SLOTS: u64 = 4;
+
+/// Where the commands' data slots live.
+#[derive(Clone, Copy)]
+enum DataBuf {
+    /// The URAM BAR, with a passthrough IOMMU.
+    Uram,
+    /// Pinned 64 MiB host buffers, one slot per 16 MiB of the write
+    /// buffer, behind an enforcing IOMMU.
+    HostDram,
+}
 
 /// One MiB as 16 distinct 64 KiB windows.
 fn windows(seed: u64) -> Vec<Payload> {
@@ -61,22 +76,29 @@ fn windows(seed: u64) -> Vec<Payload> {
 }
 
 /// The NVMe command path without a streamer: admin and I/O queues in
-/// host memory, an SSD, and a 4 MiB URAM BAR on one fabric. The media
-/// holds `cmds` MiB and URAM its slots, each MiB as 16 windows.
+/// host memory, an SSD, and data slots in a 4 MiB URAM BAR or in pinned
+/// host buffers on one fabric. The media holds `cmds` MiB and the slots
+/// theirs, each MiB as 16 windows.
 struct NvmeRig {
     en: Engine,
     fabric: Rc<RefCell<PcieFabric>>,
     hostmem: Rc<RefCell<HostMemory>>,
     dev: NvmeDeviceHandle,
     admin_tail: u16,
+    /// Fabric address of each physically contiguous 1 MiB data slot.
+    slots: Vec<u64>,
 }
 
 impl NvmeRig {
-    fn new(cmds: u64) -> NvmeRig {
+    fn new(cmds: u64, buf: DataBuf) -> NvmeRig {
         let mut fab = PcieFabric::new();
         let hostmem = Rc::new(RefCell::new(HostMemory::default()));
-        let host = Rc::new(RefCell::new(HostMemTarget::new(hostmem.clone(), 0)));
-        fab.map_region(HOST_NODE, AddrRange::new(0, 1 << 30), host);
+        // Low memory holds the queues; the pinned region the buffers.
+        let pinned = HostMemConfig::default();
+        for (base, size) in [(0, 1 << 30), (pinned.pinned_base, pinned.pinned_size)] {
+            let host = Rc::new(RefCell::new(HostMemTarget::new(hostmem.clone(), base)));
+            fab.map_region(HOST_NODE, AddrRange::new(base, size), host);
+        }
         let fpga = fab.add_device("fpga", PcieLinkConfig::alveo_u280());
         let uram = UramModel::new("uram", UramConfig::snacc_default());
         let uram = Rc::new(RefCell::new(uram));
@@ -90,12 +112,44 @@ impl NvmeRig {
             }
         });
         let mut hm = hostmem.borrow_mut();
-        for s in 0..SLOTS {
-            uram.borrow_mut()
-                .store_mut()
-                .write_parts(s * MIB, windows(1000 + s));
+        let slots: Vec<u64> = match buf {
+            DataBuf::Uram => {
+                for s in 0..SLOTS {
+                    uram.borrow_mut()
+                        .store_mut()
+                        .write_parts(s * MIB, windows(1000 + s));
+                }
+                (0..SLOTS).map(|s| URAM_BAR + s * MIB).collect()
+            }
+            DataBuf::HostDram => {
+                let rd = hm.alloc_pinned(64 * MIB);
+                let wr = hm.alloc_pinned(64 * MIB);
+                let mut fab = fabric.borrow_mut();
+                fab.set_iommu(Iommu::new());
+                let ssd = dev.node();
+                let queues = [
+                    (ASQ, 4096),
+                    (ACQ, 4096),
+                    (IO_SQ, 256 * 64),
+                    (IO_CQ, 4096),
+                    (LISTS, SLOTS * 4096),
+                ];
+                for (base, size) in queues {
+                    fab.iommu_mut().grant(ssd, AddrRange::new(base, size));
+                }
+                for seg in rd.segments().iter().chain(wr.segments()) {
+                    fab.iommu_mut().grant(ssd, *seg);
+                }
+                let slots: Vec<u64> = (0..SLOTS).map(|s| wr.phys_addr(s * 16 * MIB)).collect();
+                for (s, &at) in (0..SLOTS).zip(&slots) {
+                    hm.store_mut().write_parts(at, windows(1000 + s));
+                }
+                slots
+            }
+        };
+        for (s, &base) in (0..SLOTS).zip(&slots) {
             let entries: Vec<u8> = (1..256)
-                .flat_map(|k| (URAM_BAR + s * MIB + k * 4096).to_le_bytes())
+                .flat_map(|k| (base + k * 4096).to_le_bytes())
                 .collect();
             hm.store_mut().write(LISTS + s * 4096, &entries);
         }
@@ -106,6 +160,7 @@ impl NvmeRig {
             hostmem,
             dev,
             admin_tail: 0,
+            slots,
         };
         rig.reg(spec::regs::AQA, (31 << 16) | 31);
         rig.reg(spec::regs::ASQ, ASQ as u32);
@@ -156,7 +211,7 @@ impl NvmeRig {
         for i in 0..cmds {
             let slot = i % SLOTS;
             let mut sqe = Sqe::io(op, i as u16, i * MIB / 512, (MIB / 512 - 1) as u16);
-            sqe.prp1 = URAM_BAR + slot * MIB;
+            sqe.prp1 = self.slots[slot as usize];
             sqe.prp2 = LISTS + slot * 4096;
             hm.store_mut().write(IO_SQ + i * 64, &sqe.encode());
         }
@@ -165,6 +220,8 @@ impl NvmeRig {
         self.en.run();
         let st = self.dev.stats();
         assert_eq!(st.read_cmds + st.write_cmds, cmds, "every command succeeds");
+        let faults = self.fabric.borrow_mut().iommu_mut().faults();
+        assert_eq!(faults, 0, "every access is granted");
         st.read_bytes + st.write_bytes
     }
 }
@@ -275,15 +332,21 @@ fn datapath_benches(c: &mut Criterion) {
     });
 
     // The NVMe command path alone: 1 MiB commands over 16 x 64 KiB
-    // media windows through the fabric into (and out of) URAM.
+    // media windows through the fabric into (and out of) URAM, and write
+    // commands reading pinned host buffers through the IOMMU.
     let cmds: u64 = if q { 32 } else { 128 };
-    for (name, op) in [
-        ("nvme_read_1mib", IoOpcode::Read),
-        ("nvme_write_1mib", IoOpcode::Write),
+    for (name, op, buf) in [
+        ("nvme_read_1mib", IoOpcode::Read, DataBuf::Uram),
+        ("nvme_write_1mib", IoOpcode::Write, DataBuf::Uram),
+        (
+            "nvme_write_1mib_hostdram",
+            IoOpcode::Write,
+            DataBuf::HostDram,
+        ),
     ] {
         g.bench_function(name, |b| {
             b.iter(|| {
-                let mut rig = NvmeRig::new(cmds);
+                let mut rig = NvmeRig::new(cmds, buf);
                 black_box(rig.run(op, cmds))
             })
         });

@@ -16,7 +16,8 @@
 //! `--faults <plan.toml>` loads a [`FaultPlan`] (see `snacc-faults` and
 //! the shipped `plans/*.toml`); binaries that support fault campaigns
 //! fetch it with [`Telemetry::fault_plan`] and wire it into their
-//! systems.
+//! systems. A bare `--faults`, or a plan that cannot be read or is
+//! invalid, prints one `error: --faults …` line and exits with status 2.
 //!
 //! `--jobs <N>` sizes the sweep worker pool ([`Telemetry::jobs`]): every
 //! binary that runs simulations (all but `table1`) fans its independent
@@ -49,7 +50,8 @@ struct Flags {
     jobs: usize,
 }
 
-fn parse(args: impl Iterator<Item = String>) -> Flags {
+/// Parse the flags; the only error is a `--faults` with no plan path.
+fn parse(args: impl Iterator<Item = String>) -> Result<Flags, String> {
     let mut f = Flags {
         trace_path: None,
         metrics_path: None,
@@ -72,7 +74,8 @@ fn parse(args: impl Iterator<Item = String>) -> Flags {
         } else if let Some(p) = a.strip_prefix("--perf-json=") {
             f.perf_path = Some(PathBuf::from(p));
         } else if a == "--faults" {
-            f.faults_path = args.next().map(PathBuf::from);
+            let path = args.next().ok_or("--faults needs a plan path")?;
+            f.faults_path = Some(PathBuf::from(path));
         } else if let Some(p) = a.strip_prefix("--faults=") {
             f.faults_path = Some(PathBuf::from(p));
         } else if a == "--jobs" {
@@ -81,7 +84,13 @@ fn parse(args: impl Iterator<Item = String>) -> Flags {
             f.jobs = p.parse().unwrap_or(1);
         }
     }
-    f
+    Ok(f)
+}
+
+/// Report a command-line error and exit with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
 }
 
 /// Peak resident set size of this process in KiB, from
@@ -123,9 +132,10 @@ impl Telemetry {
     /// Parse `--trace <path>` / `--metrics-json <path>` / `--perf-json
     /// <path>` (also the `--flag=path` spelling) from the process
     /// arguments and install the corresponding sinks. Other arguments are
-    /// ignored.
+    /// ignored. A `--faults` with no path or with a plan that does not
+    /// load exits the process with status 2.
     pub fn from_args() -> Telemetry {
-        let f = parse(std::env::args().skip(1));
+        let f = parse(std::env::args().skip(1)).unwrap_or_else(|e| usage_error(&e));
         if f.trace_path.is_some() {
             snacc_trace::install(Tracer::new());
         }
@@ -133,7 +143,7 @@ impl Telemetry {
             snacc_trace::install_registry(MetricsRegistry::new());
         }
         let fault_plan = f.faults_path.as_ref().map(|p| {
-            let plan = FaultPlan::load(p).unwrap_or_else(|e| panic!("--faults {e}"));
+            let plan = FaultPlan::load(p).unwrap_or_else(|e| usage_error(&format!("--faults {e}")));
             eprintln!(
                 "(faults: campaign from {}, seed {})",
                 p.display(),
@@ -215,6 +225,10 @@ impl Telemetry {
 mod tests {
     use super::*;
 
+    fn parse_ok(args: impl Iterator<Item = String>) -> Flags {
+        parse(args).expect("flags parse")
+    }
+
     fn strings(v: &[&str]) -> impl Iterator<Item = String> {
         v.iter()
             .map(|s| s.to_string())
@@ -224,35 +238,41 @@ mod tests {
 
     #[test]
     fn parses_both_flag_spellings() {
-        let f = parse(strings(&["--trace", "a.json", "--metrics-json=m.json"]));
+        let f = parse_ok(strings(&["--trace", "a.json", "--metrics-json=m.json"]));
         assert_eq!(f.trace_path, Some(PathBuf::from("a.json")));
         assert_eq!(f.metrics_path, Some(PathBuf::from("m.json")));
-        let f = parse(strings(&["--trace=b.json", "--metrics-json", "n.json"]));
+        let f = parse_ok(strings(&["--trace=b.json", "--metrics-json", "n.json"]));
         assert_eq!(f.trace_path, Some(PathBuf::from("b.json")));
         assert_eq!(f.metrics_path, Some(PathBuf::from("n.json")));
-        let f = parse(strings(&["--perf-json", "p.json"]));
+        let f = parse_ok(strings(&["--perf-json", "p.json"]));
         assert_eq!(f.perf_path, Some(PathBuf::from("p.json")));
-        let f = parse(strings(&["--perf-json=q.json"]));
+        let f = parse_ok(strings(&["--perf-json=q.json"]));
         assert_eq!(f.perf_path, Some(PathBuf::from("q.json")));
-        let f = parse(strings(&["--faults", "plans/flaky_ssd.toml"]));
+        let f = parse_ok(strings(&["--faults", "plans/flaky_ssd.toml"]));
         assert_eq!(f.faults_path, Some(PathBuf::from("plans/flaky_ssd.toml")));
-        let f = parse(strings(&["--faults=x.toml"]));
+        let f = parse_ok(strings(&["--faults=x.toml"]));
         assert_eq!(f.faults_path, Some(PathBuf::from("x.toml")));
-        let f = parse(strings(&["--jobs", "8"]));
+        let f = parse_ok(strings(&["--jobs", "8"]));
         assert_eq!(f.jobs, 8);
-        let f = parse(strings(&["--jobs=4"]));
+        let f = parse_ok(strings(&["--jobs=4"]));
         assert_eq!(f.jobs, 4);
     }
 
     #[test]
+    fn bare_faults_is_an_error() {
+        let err = parse(strings(&["--jobs", "2", "--faults"])).err();
+        assert_eq!(err.as_deref(), Some("--faults needs a plan path"));
+    }
+
+    #[test]
     fn jobs_defaults_to_one() {
-        let f = parse(strings(&[]));
+        let f = parse_ok(strings(&[]));
         assert_eq!(f.jobs, 1);
     }
 
     #[test]
     fn ignores_unrelated_args() {
-        let f = parse(strings(&["--quiet", "positional"]));
+        let f = parse_ok(strings(&["--quiet", "positional"]));
         assert_eq!(f.trace_path, None);
         assert_eq!(f.metrics_path, None);
         assert_eq!(f.perf_path, None);

@@ -869,15 +869,8 @@ fn buf_write(
             let mut t = start;
             let mut off = 0usize;
             while off < data.len() {
-                let logical = offset + off as u64;
-                let phys = pinned.phys_addr(logical);
-                let seg_end = pinned
-                    .segments()
-                    .iter()
-                    .find(|s| s.contains(phys))
-                    .expect("phys in a segment")
-                    .end();
-                let n = ((seg_end - phys) as usize).min(data.len() - off);
+                let (phys, run) = pinned.phys_run(offset + off as u64);
+                let n = (run as usize).min(data.len() - off);
                 let done = fabric
                     .borrow_mut()
                     .write_payload_at(en, t.max(en.now()), node, phys, data.slice(off..off + n))
@@ -942,15 +935,8 @@ fn buf_read_payload(
             let mut off = 0usize;
             let mut parts: Vec<Payload> = Vec::new();
             while off < len {
-                let logical = offset + off as u64;
-                let phys = pinned.phys_addr(logical);
-                let seg_end = pinned
-                    .segments()
-                    .iter()
-                    .find(|s| s.contains(phys))
-                    .expect("phys in a segment")
-                    .end();
-                let n = ((seg_end - phys) as usize).min(len - off);
+                let (phys, run) = pinned.phys_run(offset + off as u64);
+                let n = (run as usize).min(len - off);
                 let (chunk, done) = fabric
                     .borrow_mut()
                     .read_payload_at(en, t.max(en.now()), node, phys, n as u64)

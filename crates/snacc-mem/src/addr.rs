@@ -2,9 +2,10 @@
 //!
 //! The PCIe root complex, the FPGA platform shell, and the NVMe streamer's
 //! BAR windows all decode incoming addresses against a set of
-//! non-overlapping ranges; [`AddressMap`] provides that with O(log n)
-//! lookup.
+//! non-overlapping ranges; [`AddressMap`] provides that with O(1) lookup
+//! for a stream of accesses to one range and O(log n) otherwise.
 
+use std::cell::Cell;
 use std::fmt;
 
 /// A half-open byte-address range `[base, base + size)`.
@@ -68,10 +69,15 @@ impl fmt::Debug for AddrRange {
 
 /// A decode map from address ranges to targets of type `T`.
 ///
-/// Ranges must not overlap; insertion order is irrelevant. Lookup is binary
-/// search over ranges sorted by base.
+/// Ranges must not overlap; insertion order is irrelevant. Lookup first
+/// tries the entry that matched last, then binary-searches the ranges
+/// sorted by base. Because ranges never overlap, an entry containing the
+/// address is the only answer, so the remembered index stays correct even
+/// after an insert shifts it to another entry.
 pub struct AddressMap<T> {
     entries: Vec<(AddrRange, T)>,
+    /// Index of the entry the last successful decode returned.
+    last: Cell<usize>,
 }
 
 impl<T> Default for AddressMap<T> {
@@ -85,6 +91,7 @@ impl<T> AddressMap<T> {
     pub fn new() -> Self {
         AddressMap {
             entries: Vec::new(),
+            last: Cell::new(0),
         }
     }
 
@@ -113,12 +120,20 @@ impl<T> AddressMap<T> {
 
     /// Find the range containing `addr`, returning the range and target.
     pub fn decode(&self, addr: u64) -> Option<(&AddrRange, &T)> {
-        let idx = self.entries.partition_point(|(r, _)| r.base <= addr);
-        if idx == 0 {
-            return None;
+        if let Some((r, t)) = self.entries.get(self.last.get()) {
+            if r.contains(addr) {
+                return Some((r, t));
+            }
         }
-        let (r, t) = &self.entries[idx - 1];
-        r.contains(addr).then_some((r, t))
+        let idx = self
+            .entries
+            .partition_point(|(r, _)| r.base <= addr)
+            .checked_sub(1)?;
+        let (r, t) = &self.entries[idx];
+        r.contains(addr).then(|| {
+            self.last.set(idx);
+            (r, t)
+        })
     }
 
     /// Like [`decode`](Self::decode) but requires the whole `[addr, addr+len)`
@@ -137,6 +152,7 @@ impl<T> AddressMap<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn range_basics() {
@@ -191,5 +207,43 @@ mod tests {
         let mut m = AddressMap::new();
         m.insert(AddrRange::new(0x0, 0x1000), ());
         m.insert(AddrRange::new(0x800, 0x1000), ());
+    }
+
+    /// Binary search over the ranges sorted by base, with no remembered
+    /// entry: the answer `decode` must give.
+    fn reference(ranges: &[(AddrRange, u32)], addr: u64) -> Option<(AddrRange, u32)> {
+        let mut sorted = ranges.to_vec();
+        sorted.sort_by_key(|(r, _)| r.base);
+        let idx = sorted.partition_point(|(r, _)| r.base <= addr);
+        let (r, t) = *sorted.get(idx.checked_sub(1)?)?;
+        r.contains(addr).then_some((r, t))
+    }
+
+    proptest! {
+        /// Inserts land before and after the remembered entry (shifting
+        /// its index) while decodes walk within, between and across
+        /// adjacent ranges: every answer matches a fresh binary search.
+        #[test]
+        fn decode_matches_binary_search_across_inserts(
+            ops in proptest::collection::vec(any::<[u64; 3]>(), 1..128),
+        ) {
+            const UNIT: u64 = 0x1000;
+            let mut m = AddressMap::new();
+            let mut ranges: Vec<(AddrRange, u32)> = Vec::new();
+            for (i, [sel, a, b]) in ops.into_iter().enumerate() {
+                if sel % 4 == 0 {
+                    let r = AddrRange::new((a % 32) * UNIT, (1 + b % 3) * UNIT);
+                    if ranges.iter().all(|(e, _)| !e.overlaps(&r)) {
+                        m.insert(r, i as u32);
+                        ranges.push((r, i as u32));
+                    }
+                } else {
+                    let addr = (a % (36 * UNIT)) | ((b % 2) * (UNIT - 1));
+                    let got = m.decode(addr).map(|(r, t)| (*r, *t));
+                    prop_assert_eq!(got, reference(&ranges, addr));
+                }
+            }
+            prop_assert_eq!(m.len(), ranges.len());
+        }
     }
 }

@@ -4,8 +4,8 @@
 //! controller through buffers in host memory that the TaPaSCo kernel driver
 //! pins for DMA (Sec 4.3 / 4.6). The driver can only allocate *contiguous*
 //! buffers of up to 4 MB, so a 64 MB buffer is stitched from 16 segments —
-//! the address-calculation overhead the paper mentions comes from walking
-//! that segment table, which [`PinnedBuffer`] makes explicit.
+//! the address-calculation overhead the paper mentions comes from that
+//! segment table, which [`PinnedBuffer`] makes explicit.
 //!
 //! Host memory itself is modelled full-duplex and generously provisioned
 //! (a server-class EPYC memory subsystem); it is never the bottleneck in
@@ -23,7 +23,9 @@ pub const MAX_CONTIG_ALLOC: u64 = 4 << 20;
 pub const PAGE_4K: u64 = 4096;
 
 /// A DMA-pinned buffer composed of one or more physically contiguous
-/// segments, each at most [`MAX_CONTIG_ALLOC`] bytes and 4 KiB-aligned.
+/// segments, 4 KiB-aligned. Every segment but the last is exactly
+/// [`MAX_CONTIG_ALLOC`] bytes (only [`HostMemory::alloc_pinned`] builds
+/// one), so an offset indexes its segment directly.
 #[derive(Clone, Debug)]
 pub struct PinnedBuffer {
     segments: Vec<AddrRange>,
@@ -47,17 +49,19 @@ impl PinnedBuffer {
     }
 
     /// Translate a byte offset within the buffer to a physical address.
-    /// This is the per-access table walk the host-DRAM streamer performs.
+    /// This is the per-access table lookup the host-DRAM streamer performs.
     pub fn phys_addr(&self, offset: u64) -> u64 {
+        self.phys_run(offset).0
+    }
+
+    /// The physical address of byte `offset` and the number of bytes from
+    /// it to the end of its segment: the longest physically contiguous
+    /// run a DMA starting at `offset` may cover.
+    pub fn phys_run(&self, offset: u64) -> (u64, u64) {
         assert!(offset < self.size, "offset {offset} beyond buffer");
-        let mut remaining = offset;
-        for seg in &self.segments {
-            if remaining < seg.size {
-                return seg.base + remaining;
-            }
-            remaining -= seg.size;
-        }
-        unreachable!("segment table inconsistent with size");
+        let seg = &self.segments[(offset / MAX_CONTIG_ALLOC) as usize];
+        let within = offset % MAX_CONTIG_ALLOC;
+        (seg.base + within, seg.size - within)
     }
 
     /// Physical address of the n-th 4 KiB page of the buffer (PRP entry n).
@@ -278,5 +282,44 @@ mod tests {
         let mut out = [0u8; 3];
         m.read(SimTime::ZERO, 0x2000, &mut out);
         assert_eq!(&out, b"abc");
+    }
+
+    /// The segment walk `phys_run` replaces: the answer it must give.
+    fn walk(b: &PinnedBuffer, offset: u64) -> (u64, u64) {
+        let mut remaining = offset;
+        for seg in b.segments() {
+            if remaining < seg.size {
+                return (seg.base + remaining, seg.size - remaining);
+            }
+            remaining -= seg.size;
+        }
+        panic!("offset {offset} beyond the segment table");
+    }
+
+    #[test]
+    fn phys_run_matches_a_segment_walk_on_every_page() {
+        let mut m = HostMemory::default();
+        for size in [
+            4096,
+            100,
+            4 << 20,
+            9 << 20,
+            (8 << 20) + 4096,
+            16 << 20,
+            (5 << 20) - 1,
+        ] {
+            let b = m.alloc_pinned(size);
+            for page in 0..b.pages() {
+                for offset in [page * PAGE_4K, page * PAGE_4K + PAGE_4K - 1] {
+                    assert_eq!(
+                        b.phys_run(offset),
+                        walk(&b, offset),
+                        "size {size} @ {offset}"
+                    );
+                    assert_eq!(b.phys_addr(offset), walk(&b, offset).0);
+                }
+                assert_eq!(b.page_addr(page), walk(&b, page * PAGE_4K).0);
+            }
+        }
     }
 }

@@ -10,32 +10,41 @@
 
 use crate::fabric::NodeId;
 use snacc_mem::AddrRange;
-use std::collections::HashMap;
+
+/// One requester's grants, in grant order, and the grant that matched its
+/// last allowed access. DMA streams walk one window page by page, so the
+/// remembered grant almost always answers the next check.
+#[derive(Default)]
+struct Grants {
+    ranges: Vec<AddrRange>,
+    last: usize,
+}
 
 /// The IOMMU: per-requester allowed ranges, or passthrough.
+///
+/// A check allows a span exactly when one grant contains all of it. Grants
+/// are never merged, so a span straddling two adjacent grants stays denied
+/// and the remembered grant only changes which grant is tried first, never
+/// the answer.
 #[derive(Default)]
 pub struct Iommu {
     passthrough: bool,
-    grants: HashMap<NodeId, Vec<AddrRange>>,
+    /// Indexed by `NodeId.0`.
+    grants: Vec<Grants>,
     faults: u64,
 }
 
 impl Iommu {
     /// An enforcing IOMMU with no grants yet.
     pub fn new() -> Self {
-        Iommu {
-            passthrough: false,
-            grants: HashMap::new(),
-            faults: 0,
-        }
+        Iommu::default()
     }
 
     /// A disabled IOMMU (all accesses allowed).
     pub fn passthrough() -> Self {
         Iommu {
             passthrough: true,
-            grants: HashMap::new(),
-            faults: 0,
+            ..Iommu::default()
         }
     }
 
@@ -46,12 +55,17 @@ impl Iommu {
 
     /// Grant `requester` access to `range`.
     pub fn grant(&mut self, requester: NodeId, range: AddrRange) {
-        self.grants.entry(requester).or_default().push(range);
+        if self.grants.len() <= requester.0 {
+            self.grants.resize_with(requester.0 + 1, Grants::default);
+        }
+        self.grants[requester.0].ranges.push(range);
     }
 
     /// Revoke all grants for `requester`.
     pub fn revoke_all(&mut self, requester: NodeId) {
-        self.grants.remove(&requester);
+        if let Some(g) = self.grants.get_mut(requester.0) {
+            *g = Grants::default();
+        }
     }
 
     /// Number of faults recorded so far.
@@ -65,11 +79,19 @@ impl Iommu {
         if self.passthrough {
             return true;
         }
-        let ok = self
-            .grants
-            .get(&requester)
-            .map(|ranges| ranges.iter().any(|r| r.contains_span(addr, len)))
-            .unwrap_or(false);
+        let holds = |r: &AddrRange| r.contains_span(addr, len);
+        let ok = self.grants.get_mut(requester.0).is_some_and(|g| {
+            if g.ranges.get(g.last).is_some_and(holds) {
+                return true;
+            }
+            match g.ranges.iter().position(holds) {
+                Some(i) => {
+                    g.last = i;
+                    true
+                }
+                None => false,
+            }
+        });
         if !ok {
             self.faults += 1;
         }
@@ -80,6 +102,7 @@ impl Iommu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn node(n: usize) -> NodeId {
         NodeId(n)
@@ -127,5 +150,65 @@ mod tests {
         io.grant(node(1), AddrRange::new(1 << 30, 4096));
         assert!(io.check(node(1), (1 << 30) + 100, 8));
         assert!(!io.check(node(1), 1 << 20, 8));
+    }
+
+    #[test]
+    fn adjacent_grants_are_not_merged() {
+        let mut io = Iommu::new();
+        io.grant(node(1), AddrRange::new(0x1000, 0x1000));
+        io.grant(node(1), AddrRange::new(0x2000, 0x1000));
+        // Warm the remembered grant on each side, then straddle the seam.
+        assert!(io.check(node(1), 0x1f00, 0x100));
+        assert!(!io.check(node(1), 0x1f00, 0x200));
+        assert!(io.check(node(1), 0x2000, 0x100));
+        assert!(!io.check(node(1), 0x1f00, 0x200));
+        assert_eq!(io.faults(), 2);
+    }
+
+    /// The answer with no remembered grant: any grant of `requester` that
+    /// holds the whole span.
+    fn reference(grants: &[(usize, AddrRange)], requester: usize, addr: u64, len: u64) -> bool {
+        grants
+            .iter()
+            .any(|&(n, r)| n == requester && r.contains_span(addr, len))
+    }
+
+    proptest! {
+        /// Random grants (adjacent and overlapping ones among them in a
+        /// small space), straddling checks, `revoke_all` and re-grants:
+        /// every answer and the fault count match a plain scan.
+        #[test]
+        fn check_matches_a_linear_scan(
+            ops in proptest::collection::vec(any::<[u64; 4]>(), 1..96),
+        ) {
+            const UNIT: u64 = 0x100;
+            let mut io = Iommu::new();
+            let mut grants: Vec<(usize, AddrRange)> = Vec::new();
+            let mut faults = 0;
+            for [sel, a, b, c] in ops {
+                let requester = (a % 4) as usize;
+                match sel % 8 {
+                    0 | 1 => {
+                        let r = AddrRange::new((b % 16) * UNIT, (1 + c % 4) * UNIT);
+                        io.grant(node(requester), r);
+                        grants.push((requester, r));
+                    }
+                    2 => {
+                        io.revoke_all(node(requester));
+                        grants.retain(|&(n, _)| n != requester);
+                    }
+                    _ => {
+                        // Unit-aligned spans straddle grant edges often;
+                        // the odd byte offsets probe the edges themselves.
+                        let addr = (b % 21) * UNIT + (c % 3) * (UNIT / 2 - 1);
+                        let len = 1 + (c >> 8) % (3 * UNIT);
+                        let want = reference(&grants, requester, addr, len);
+                        faults += u64::from(!want);
+                        prop_assert_eq!(io.check(node(requester), addr, len), want);
+                        prop_assert_eq!(io.faults(), faults);
+                    }
+                }
+            }
+        }
     }
 }

@@ -86,6 +86,11 @@ impl fmt::Display for Bandwidth {
 /// `max(now, free_at)` and returns the time the last byte *arrives*
 /// (occupancy end + latency). Callers schedule their completion events at
 /// the returned time.
+///
+/// A link's bandwidth never changes after construction, so the occupancy
+/// of the last transfer size is remembered: a stream of equal-sized TLPs
+/// converts bytes to time once, with the same rounding as
+/// [`Bandwidth::time_for`].
 pub struct SharedLink {
     name: String,
     bandwidth: Bandwidth,
@@ -93,6 +98,8 @@ pub struct SharedLink {
     free_at: SimTime,
     bytes: u64,
     ops: u64,
+    /// `(bytes, bandwidth.time_for(bytes))` of the last transfer.
+    memo: (u64, SimDuration),
 }
 
 impl SharedLink {
@@ -105,6 +112,7 @@ impl SharedLink {
             free_at: SimTime::ZERO,
             bytes: 0,
             ops: 0,
+            memo: (0, SimDuration::ZERO),
         }
     }
 
@@ -142,7 +150,7 @@ impl SharedLink {
     /// of the last byte.
     pub fn transfer(&mut self, now: SimTime, bytes: u64) -> SimTime {
         let start = now.max(self.free_at);
-        let occupy = self.bandwidth.time_for(bytes);
+        let occupy = self.occupancy(bytes);
         self.free_at = start + occupy;
         self.record(bytes);
         self.free_at + self.latency
@@ -156,7 +164,7 @@ impl SharedLink {
     /// megabyte data window add hundreds of microseconds to a 16-byte
     /// completion.
     pub fn transfer_interleaved(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        let occupy = self.bandwidth.time_for(bytes);
+        let occupy = self.occupancy(bytes);
         self.record(bytes);
         now + occupy + self.latency
     }
@@ -170,7 +178,7 @@ impl SharedLink {
         overhead: SimDuration,
     ) -> SimTime {
         let start = now.max(self.free_at);
-        let occupy = self.bandwidth.time_for(bytes) + overhead;
+        let occupy = self.occupancy(bytes) + overhead;
         self.free_at = start + occupy;
         self.record(bytes);
         self.free_at + self.latency
@@ -185,6 +193,15 @@ impl SharedLink {
         Bandwidth {
             bytes_per_sec: self.bytes as f64 / secs,
         }
+    }
+
+    /// Wire time of `bytes` at this link's rate.
+    #[inline]
+    fn occupancy(&mut self, bytes: u64) -> SimDuration {
+        if bytes != self.memo.0 {
+            self.memo = (bytes, self.bandwidth.time_for(bytes));
+        }
+        self.memo.1
     }
 
     /// Count one transfer of `bytes`.
@@ -262,5 +279,43 @@ mod tests {
         let end = l.free_at();
         let bw = l.observed_bandwidth(end);
         assert!((bw.as_gb_per_s() - 2.0).abs() < 0.01, "{bw:?}");
+    }
+
+    #[test]
+    fn occupancy_memo_matches_time_for() {
+        // A rate whose conversions round (1 / 3.3 ns per byte), and the
+        // sizes of a PCIe stream: headers, data TLPs, repeats, zero.
+        let bw = Bandwidth::gb_per_s(3.3);
+        let mut l = SharedLink::new("test", bw, SimDuration::from_ns(7));
+        let sizes = [
+            4096, 4096, 24, 4120, 0, 24, 24, 4096, 1, 0, 0, 4120, 1_000_003,
+        ];
+        let mut free = SimTime::ZERO;
+        let mut now = SimTime::ZERO;
+        for (i, &bytes) in sizes.iter().enumerate() {
+            let occupy = bw.time_for(bytes);
+            let got = match i % 3 {
+                0 => {
+                    let arrive = l.transfer(now, bytes);
+                    free = now.max(free) + occupy;
+                    assert_eq!(arrive, free + l.latency(), "transfer of {bytes} B");
+                    arrive
+                }
+                1 => {
+                    let arrive = l.transfer_interleaved(now, bytes);
+                    assert_eq!(arrive, now + occupy + l.latency(), "interleaved {bytes} B");
+                    arrive
+                }
+                _ => {
+                    let extra = SimDuration::from_ns(3);
+                    let arrive = l.transfer_with_overhead(now, bytes, extra);
+                    free = now.max(free) + occupy + extra;
+                    assert_eq!(arrive, free + l.latency(), "overhead {bytes} B");
+                    arrive
+                }
+            };
+            assert_eq!(l.free_at(), free);
+            now = SimTime::from_ps(got.as_ps() / 2);
+        }
     }
 }
