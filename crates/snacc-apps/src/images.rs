@@ -8,8 +8,9 @@
 
 use snacc_sim::SimRng;
 
-/// The case-study capture format: 2048×1536, 3 bytes/pixel = 9 MiB·0.9…
-/// exactly 9,437,184 B; 16384 frames = 147.0 GB as in the paper.
+/// The case-study capture format: 2048×1536 at 3 bytes per pixel, exactly
+/// 9,437,184 B (9 MiB) per frame. 16384 frames are 154.6 GB; the paper's
+/// 147 GB (Sec 6.2) counts each frame as 9 MB.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ImageFormat {
     /// Width in pixels.
@@ -101,20 +102,31 @@ pub fn generate_image(fmt: ImageFormat, id: u64) -> (ImageHeader, Vec<u8>) {
     // Class pattern: vertical bands whose period depends on the class.
     // Periods stay resolvable after the 2048→224 downscale.
     let period = 24 + truth as usize * 20;
-    for y in 0..h {
-        let row = y * w * 3;
-        for x in 0..w {
-            let o = row + x * 3;
-            let band = if (x / period).is_multiple_of(2) {
-                200u16
+    let bands: Vec<u8> = (0..w)
+        .map(|x| {
+            if (x / period).is_multiple_of(2) {
+                200
             } else {
-                40u16
-            };
-            let grad = (255 * y / h) as u16;
-            let noise = (rng.next_u64() & 0x0f) as u16;
-            px[o] = ((band + noise).min(255)) as u8;
-            px[o + 1] = ((grad + noise).min(255)) as u8;
-            px[o + 2] = (((band + grad) / 2 + noise).min(255)) as u8;
+                40
+            }
+        })
+        .collect();
+    let mut noise = vec![0u8; w];
+    for y in 0..h {
+        let row = &mut px[y * w * 3..(y + 1) * w * 3];
+        // One draw per pixel in row-major order, drawn ahead of the
+        // pixel arithmetic so that loop has no RNG call in it.
+        for n in noise.iter_mut() {
+            *n = (rng.next_u64() & 0x0f) as u8;
+        }
+        // With band ∈ {40, 200}, n ≤ 15 and grad = 255·y/h ≤ 254:
+        // R = band + n ≤ 215 and B = (band + grad)/2 + n ≤ 242 never
+        // reach 255; only G can, and it saturates there.
+        let grad = (255 * y / h) as u8;
+        for ((p, &band), &n) in row.chunks_exact_mut(3).zip(&bands).zip(&noise) {
+            p[0] = band + n;
+            p[1] = grad.saturating_add(n);
+            p[2] = ((u16::from(band) + u16::from(grad)) / 2) as u8 + n;
         }
     }
     let hdr = ImageHeader {
@@ -125,35 +137,77 @@ pub fn generate_image(fmt: ImageFormat, id: u64) -> (ImageHeader, Vec<u8>) {
     (hdr, px)
 }
 
-/// Box-filter downscale RGB `src` (`from`) to `to` — the "scale the
+/// Box-filter downscale the RGB image `from`, given as consecutive byte
+/// `chunks` (a flat image is `[&px[..]]`), to `to` — the "scale the
 /// images down to 224×224 pixels" PE of Fig 5, with real arithmetic.
-pub fn downscale(src: &[u8], from: ImageFormat, to: ImageFormat) -> Vec<u8> {
-    assert_eq!(src.len(), from.bytes());
+///
+/// Output pixel `(tx, ty)` is the mean of source columns
+/// `[tx·fw/tw, (tx+1)·fw/tw)` and rows `[ty·fh/th, (ty+1)·fh/th)`. Since
+/// `to` is no larger than `from`, these boxes partition the source, so
+/// each source row is added once into per-column sums and each output
+/// row is read off those sums. A row that lies inside one chunk is read
+/// in place; only a row that straddles chunks is copied, into one
+/// row-sized scratch buffer.
+pub fn downscale<'a>(
+    chunks: impl IntoIterator<Item = &'a [u8]>,
+    from: ImageFormat,
+    to: ImageFormat,
+) -> Vec<u8> {
     let (fw, fh) = (from.width as usize, from.height as usize);
     let (tw, th) = (to.width as usize, to.height as usize);
-    let mut out = vec![0u8; to.bytes()];
-    for ty in 0..th {
-        let y0 = ty * fh / th;
-        let y1 = ((ty + 1) * fh / th).max(y0 + 1);
-        for tx in 0..tw {
-            let x0 = tx * fw / tw;
-            let x1 = ((tx + 1) * fw / tw).max(x0 + 1);
-            let mut acc = [0u32; 3];
-            let n = ((y1 - y0) * (x1 - x0)) as u32;
-            for y in y0..y1 {
-                for x in x0..x1 {
-                    let o = (y * fw + x) * 3;
-                    acc[0] += src[o] as u32;
-                    acc[1] += src[o + 1] as u32;
-                    acc[2] += src[o + 2] as u32;
-                }
-            }
-            let o = (ty * tw + tx) * 3;
-            out[o] = (acc[0] / n) as u8;
-            out[o + 1] = (acc[1] / n) as u8;
-            out[o + 2] = (acc[2] / n) as u8;
+    assert!(
+        (1..=fw).contains(&tw) && (1..=fh).contains(&th),
+        "downscale maps onto a non-empty format no larger than its source"
+    );
+    let row_bytes = fw * 3;
+    // Column boundaries of the output boxes.
+    let xs: Vec<usize> = (0..=tw).map(|tx| tx * fw / tw).collect();
+    let mut col_sums = vec![0u32; row_bytes];
+    let mut out = Vec::with_capacity(to.bytes());
+    let mut y = 0;
+    let mut add_row = |row: &[u8]| {
+        assert!(y < fh, "image longer than its format");
+        for (s, &p) in col_sums.iter_mut().zip(row) {
+            *s += u32::from(p);
         }
+        y += 1;
+        let ty = out.len() / (tw * 3);
+        let (y0, y1) = (ty * fh / th, (ty + 1) * fh / th);
+        if y < y1 {
+            return;
+        }
+        for x in xs.windows(2) {
+            let n = ((y1 - y0) * (x[1] - x[0])) as u32;
+            let mut acc = [0u32; 3];
+            for px in col_sums[x[0] * 3..x[1] * 3].chunks_exact(3) {
+                acc[0] += px[0];
+                acc[1] += px[1];
+                acc[2] += px[2];
+            }
+            out.extend(acc.map(|a| (a / n) as u8));
+        }
+        col_sums.fill(0);
+    };
+    let mut straddle = Vec::with_capacity(row_bytes);
+    for mut chunk in chunks {
+        if !straddle.is_empty() {
+            let take = (row_bytes - straddle.len()).min(chunk.len());
+            straddle.extend_from_slice(&chunk[..take]);
+            chunk = &chunk[take..];
+            if straddle.len() < row_bytes {
+                continue;
+            }
+            add_row(&straddle);
+            straddle.clear();
+        }
+        let mut rows = chunk.chunks_exact(row_bytes);
+        rows.by_ref().for_each(&mut add_row);
+        straddle.extend_from_slice(rows.remainder());
     }
+    assert!(
+        y == fh && straddle.is_empty(),
+        "image shorter than its format"
+    );
     out
 }
 
@@ -197,6 +251,151 @@ pub fn classify(img: &[u8], fmt: ImageFormat) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The generator as first written: one RNG draw and three clamped
+    /// `u16` sums per pixel. [`generate_image`] must match it bit for bit.
+    fn reference_image(fmt: ImageFormat, id: u64) -> Vec<u8> {
+        let truth = (id % NUM_CLASSES as u64) as u32;
+        let mut px = vec![0u8; fmt.bytes()];
+        let mut rng = SimRng::new(truth as u64 ^ 0x1417_beef);
+        let w = fmt.width as usize;
+        let h = fmt.height as usize;
+        let period = 24 + truth as usize * 20;
+        for y in 0..h {
+            let row = y * w * 3;
+            for x in 0..w {
+                let o = row + x * 3;
+                let band = if (x / period).is_multiple_of(2) {
+                    200u16
+                } else {
+                    40u16
+                };
+                let grad = (255 * y / h) as u16;
+                let noise = (rng.next_u64() & 0x0f) as u16;
+                px[o] = ((band + noise).min(255)) as u8;
+                px[o + 1] = ((grad + noise).min(255)) as u8;
+                px[o + 2] = (((band + grad) / 2 + noise).min(255)) as u8;
+            }
+        }
+        px
+    }
+
+    /// The box filter as first written: a nested loop per output pixel
+    /// over a flat image. [`downscale`] must match it bit for bit.
+    fn reference_downscale(src: &[u8], from: ImageFormat, to: ImageFormat) -> Vec<u8> {
+        assert_eq!(src.len(), from.bytes());
+        let (fw, fh) = (from.width as usize, from.height as usize);
+        let (tw, th) = (to.width as usize, to.height as usize);
+        let mut out = vec![0u8; to.bytes()];
+        for ty in 0..th {
+            let y0 = ty * fh / th;
+            let y1 = ((ty + 1) * fh / th).max(y0 + 1);
+            for tx in 0..tw {
+                let x0 = tx * fw / tw;
+                let x1 = ((tx + 1) * fw / tw).max(x0 + 1);
+                let mut acc = [0u32; 3];
+                let n = ((y1 - y0) * (x1 - x0)) as u32;
+                for y in y0..y1 {
+                    for x in x0..x1 {
+                        let o = (y * fw + x) * 3;
+                        acc[0] += src[o] as u32;
+                        acc[1] += src[o + 1] as u32;
+                        acc[2] += src[o + 2] as u32;
+                    }
+                }
+                let o = (ty * tw + tx) * 3;
+                out[o] = (acc[0] / n) as u8;
+                out[o + 1] = (acc[1] / n) as u8;
+                out[o + 2] = (acc[2] / n) as u8;
+            }
+        }
+        out
+    }
+
+    /// Split `src` into consecutive chunks whose lengths cycle through
+    /// `lens`; a zero length yields an empty chunk followed by a 1-byte
+    /// one. The list starts and ends with an empty chunk.
+    fn chunked<'a>(src: &'a [u8], lens: &[usize]) -> Vec<&'a [u8]> {
+        let mut out = vec![&src[..0]];
+        let mut at = 0;
+        for &len in lens.iter().cycle() {
+            if at == src.len() {
+                break;
+            }
+            let mut n = len;
+            if n == 0 {
+                out.push(&src[at..at]);
+                n = 1;
+            }
+            let n = n.min(src.len() - at);
+            out.push(&src[at..at + n]);
+            at += n;
+        }
+        out.push(&src[src.len()..]);
+        out
+    }
+
+    #[test]
+    fn generator_matches_reference_for_every_class() {
+        let cap = ImageFormat::capture();
+        for id in 0..u64::from(NUM_CLASSES) {
+            assert_eq!(
+                generate_image(cap, id).1,
+                reference_image(cap, id),
+                "class {id}"
+            );
+        }
+    }
+
+    #[test]
+    fn generator_matches_reference_at_odd_formats() {
+        // 1001 is a multiple of no band period (24 + 20·class); 300 rows
+        // take grad past 240, where G saturates; empty formats stay empty.
+        for (width, height) in [(1, 1), (37, 5), (1001, 3), (3, 300), (0, 4), (4, 0)] {
+            let fmt = ImageFormat { width, height };
+            for id in 0..u64::from(NUM_CLASSES) {
+                let got = generate_image(fmt, id).1;
+                assert_eq!(got, reference_image(fmt, id), "{width}x{height} class {id}");
+            }
+        }
+    }
+
+    #[test]
+    fn downscale_of_a_tee_shaped_capture_matches_reference() {
+        // Like the classification tee: a first window 20 B short (the
+        // header shares its frame), then 8 KiB frames, so 6 KiB rows
+        // straddle frames.
+        let (cap, cls) = (ImageFormat::capture(), ImageFormat::classify());
+        let px = generate_image(cap, 3).1;
+        let chunks = chunked(&px, &[8192 - HEADER_BYTES, 8192, 8192]);
+        assert_eq!(
+            downscale(chunks, cap, cls),
+            reference_downscale(&px, cap, cls)
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn downscale_matches_reference_over_any_chunking(
+            fw in 1u32..40,
+            fh in 1u32..40,
+            tw in any::<u32>(),
+            th in any::<u32>(),
+            seed in any::<u64>(),
+            lens in proptest::collection::vec(0usize..300, 1..6),
+        ) {
+            // Any target no larger than the source, most not dividing it.
+            let from = ImageFormat { width: fw, height: fh };
+            let to = ImageFormat { width: 1 + tw % fw, height: 1 + th % fh };
+            let mut rng = SimRng::new(seed);
+            let src: Vec<u8> = (0..from.bytes()).map(|_| rng.next_u64() as u8).collect();
+            let want = reference_downscale(&src, from, to);
+            prop_assert_eq!(downscale([&src[..]], from, to), want.clone());
+            prop_assert_eq!(downscale(chunked(&src, &[1]), from, to), want.clone());
+            prop_assert_eq!(downscale(chunked(&src, &lens), from, to), want);
+        }
+    }
 
     #[test]
     fn header_roundtrip() {
@@ -240,7 +439,7 @@ mod tests {
             height: 4,
         };
         let src = vec![100u8; from.bytes()];
-        let out = downscale(&src, from, to);
+        let out = downscale([&src[..]], from, to);
         assert_eq!(out.len(), to.bytes());
         assert!(out.iter().all(|&v| v == 100));
     }
@@ -253,7 +452,7 @@ mod tests {
         let n = 20;
         for id in 0..n {
             let (hdr, px) = generate_image(cap, id);
-            let small = downscale(&px, cap, cls);
+            let small = downscale([&px[..]], cap, cls);
             let got = classify(&small, cls);
             if got == hdr.truth {
                 correct += 1;

@@ -12,9 +12,10 @@
 //!   16384 frames ≈ 147 GB, matching Sec 6.2), with real pixel data and a
 //!   tiny wire header, sent over the simulated 100 G link.
 //! * [`pipeline`] — the FPGA dataflow of Fig 5: Ethernet RX bridge, tee,
-//!   downscaler PE (real box-filter resampling to 224×224), MobileNet-
-//!   style classifier PE (real fixed-point features + linear head at a
-//!   FINN-calibrated rate), and the database controller feeding SNAcc.
+//!   downscaler PE (real box-filter resampling to 224×224, read in place
+//!   from the tee's windows), classifier PE (recovers the class from the
+//!   band period of the downscaled image, at a FINN-calibrated rate), and
+//!   the database controller feeding SNAcc.
 //! * [`spdk_ref`] — the SPDK reference configuration (Sec 6.1): the FPGA
 //!   classifies, but the host moves the results to storage, batched with
 //!   double buffering.

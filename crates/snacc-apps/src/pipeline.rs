@@ -415,11 +415,13 @@ impl<S: CaseSink + 'static> DbController<S> {
                     Some(&cl) => cl,
                     None => {
                         // Memo miss (once per distinct image content): the
-                        // downscaler needs contiguous bytes, so materialise
-                        // here — adjacent segments merge zero-copy.
-                        let img = Payload::concat(&tee);
-                        let small =
-                            downscale(&img, ImageFormat::capture(), ImageFormat::classify());
+                        // downscaler reads the tee's windows in place, so
+                        // nothing is materialised here.
+                        let small = downscale(
+                            tee.iter().map(Payload::as_slice),
+                            ImageFormat::capture(),
+                            ImageFormat::classify(),
+                        );
                         let cl = classify(&small, ImageFormat::classify());
                         c.memo.insert(key, cl);
                         cl

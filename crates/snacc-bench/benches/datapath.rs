@@ -24,22 +24,29 @@
 //! queue windows, then 2 × 16 pinned 4 MiB segments), so every TLP's
 //! grant lookup is part of the time.
 //!
+//! Two more time the case study's other layers on their own: an image
+//! class's first sight (synthesis, a box-filter downscale read in place
+//! from tee-shaped 8 KiB chunks, classification), and 8 KiB jumbo frames
+//! between a TX and an RX MAC with 802.3x flow control.
+//!
 //! Run with `cargo bench -p snacc-bench --bench datapath`; set
 //! `SNACC_QUICK=1` for the CI smoke sizes.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use snacc_apps::images::{classify, downscale, generate_image, ImageFormat, HEADER_BYTES};
 use snacc_apps::pipeline::{run_snacc_case_study, CaseStudyConfig};
 use snacc_apps::system::{SnaccSystem, SystemConfig};
 use snacc_bench::workloads::{self, Dir};
 use snacc_core::config::{StreamerConfig, StreamerVariant};
 use snacc_mem::hostmem::HostMemConfig;
 use snacc_mem::{AddrRange, HostMemory, SegmentMemory, UramConfig, UramModel};
+use snacc_net::{mac, EthFrame, EthMac, MacAddr, MacConfig};
 use snacc_nvme::spec::{self, AdminOpcode, Cqe, IoOpcode, Sqe, Status};
 use snacc_nvme::{NvmeDeviceHandle, NvmeProfile};
 use snacc_pcie::target::{HostMemTarget, UramTarget};
 use snacc_pcie::{Iommu, PcieFabric, PcieLinkConfig, HOST_NODE};
 use snacc_sim::{Engine, Payload, SimRng};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 fn quick() -> bool {
@@ -280,6 +287,54 @@ fn datapath_benches(c: &mut Criterion) {
             sys.nvme.with(|d| d.nand_mut().media_mut().clear());
             sys.hostmem.borrow_mut().store_mut().clear();
             black_box(report.bandwidth_gbps)
+        })
+    });
+
+    // The classification path alone, as on each class's memo miss:
+    // synthesise the image, downscale it from chunks shaped like the tee
+    // (8 KiB frames, the first 20 B short where the header shares its
+    // frame) and classify it.
+    let (cap, cls) = (ImageFormat::capture(), ImageFormat::classify());
+    g.bench_function("image_first_sight", |b| {
+        b.iter(|| {
+            let (hdr, px) = generate_image(cap, 7);
+            let (first, rest) = px.split_at(8192 - HEADER_BYTES);
+            let small = downscale(std::iter::once(first).chain(rest.chunks(8192)), cap, cls);
+            let class = classify(&small, cls);
+            assert_eq!(class, hdr.truth);
+            black_box(class)
+        })
+    });
+
+    // The Ethernet layer alone: 8 KiB jumbo frames, each a window of one
+    // shared buffer, from a TX to an RX MAC at 100 G with flow control;
+    // the RX hook pops every frame as it lands.
+    let frames: u64 = if q { 4096 } else { 32768 };
+    let jumbo = Payload::pattern(13, 8192);
+    g.bench_function("mac_jumbo_8k", |b| {
+        b.iter(|| {
+            let mut en = Engine::new();
+            let (tx_addr, rx_addr) = (MacAddr::from_index(1), MacAddr::from_index(2));
+            let tx = EthMac::new("tx", tx_addr, MacConfig::eth_100g(), 1);
+            let rx = EthMac::new("rx", rx_addr, MacConfig::eth_100g(), 2);
+            mac::connect(&tx, &rx);
+            let got = Rc::new(Cell::new(0u64));
+            let (rx_weak, got_hook) = (Rc::downgrade(&rx), got.clone());
+            rx.borrow_mut().set_rx_hook(move |en| {
+                let rx = rx_weak.upgrade().expect("rx MAC alive");
+                while let Some(f) = mac::pop_frame(&rx, en) {
+                    got_hook.set(got_hook.get() + f.payload.len() as u64);
+                }
+            });
+            for _ in 0..frames {
+                let f = EthFrame::data(rx_addr, tx_addr, jumbo.clone());
+                while !mac::send(&tx, &mut en, f.clone()) {
+                    en.step();
+                }
+            }
+            en.run();
+            assert_eq!(got.get(), frames * 8192, "every frame arrives");
+            black_box(got.get())
         })
     });
 

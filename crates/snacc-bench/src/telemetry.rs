@@ -24,6 +24,10 @@
 //! jobs across `N` threads with [`crate::sweep::map`], with byte-identical
 //! output. Defaults to 1; forced back to 1 while any telemetry sink is
 //! recording.
+//!
+//! Any of these flags given without its value, and a `--jobs` that is not
+//! a positive integer, prints one `error: --<flag> …` line and exits with
+//! status 2 before any simulation runs.
 
 use serde_json::{Map, Value};
 use snacc_faults::FaultPlan;
@@ -50,7 +54,10 @@ struct Flags {
     jobs: usize,
 }
 
-/// Parse the flags; the only error is a `--faults` with no plan path.
+/// Parse the flags. A recognised flag with no value (at the end of the
+/// arguments, empty, or followed by another `--` flag) is an error, as
+/// is a `--jobs` that is not a positive integer; other arguments are
+/// ignored.
 fn parse(args: impl Iterator<Item = String>) -> Result<Flags, String> {
     let mut f = Flags {
         trace_path: None,
@@ -59,29 +66,35 @@ fn parse(args: impl Iterator<Item = String>) -> Result<Flags, String> {
         faults_path: None,
         jobs: 1,
     };
-    let mut args = args;
+    let mut args = args.peekable();
     while let Some(a) = args.next() {
-        if a == "--trace" {
-            f.trace_path = args.next().map(PathBuf::from);
-        } else if let Some(p) = a.strip_prefix("--trace=") {
-            f.trace_path = Some(PathBuf::from(p));
-        } else if a == "--metrics-json" {
-            f.metrics_path = args.next().map(PathBuf::from);
-        } else if let Some(p) = a.strip_prefix("--metrics-json=") {
-            f.metrics_path = Some(PathBuf::from(p));
-        } else if a == "--perf-json" {
-            f.perf_path = args.next().map(PathBuf::from);
-        } else if let Some(p) = a.strip_prefix("--perf-json=") {
-            f.perf_path = Some(PathBuf::from(p));
-        } else if a == "--faults" {
-            let path = args.next().ok_or("--faults needs a plan path")?;
-            f.faults_path = Some(PathBuf::from(path));
-        } else if let Some(p) = a.strip_prefix("--faults=") {
-            f.faults_path = Some(PathBuf::from(p));
-        } else if a == "--jobs" {
-            f.jobs = args.next().and_then(|v| v.parse().ok()).unwrap_or(1);
-        } else if let Some(p) = a.strip_prefix("--jobs=") {
-            f.jobs = p.parse().unwrap_or(1);
+        let (flag, inline) = match a.split_once('=') {
+            Some((flag, v)) => (flag, Some(v.to_string())),
+            None => (a.as_str(), None),
+        };
+        let needs = match flag {
+            "--trace" | "--metrics-json" | "--perf-json" => "an output path",
+            "--faults" => "a plan path",
+            "--jobs" => "a worker count",
+            _ => continue,
+        };
+        let v = inline
+            .or_else(|| args.next_if(|v| !v.starts_with("--")))
+            .filter(|v| !v.is_empty())
+            .ok_or_else(|| format!("{flag} needs {needs}"))?;
+        match flag {
+            "--trace" => f.trace_path = Some(v.into()),
+            "--metrics-json" => f.metrics_path = Some(v.into()),
+            "--perf-json" => f.perf_path = Some(v.into()),
+            "--faults" => f.faults_path = Some(v.into()),
+            _ => {
+                // --jobs
+                f.jobs = v
+                    .parse()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| format!("--jobs {v}: not a positive worker count"))?;
+            }
         }
     }
     Ok(f)
@@ -132,8 +145,9 @@ impl Telemetry {
     /// Parse `--trace <path>` / `--metrics-json <path>` / `--perf-json
     /// <path>` (also the `--flag=path` spelling) from the process
     /// arguments and install the corresponding sinks. Other arguments are
-    /// ignored. A `--faults` with no path or with a plan that does not
-    /// load exits the process with status 2.
+    /// ignored. A flag without its value, a `--jobs` that is not a
+    /// positive integer, or a `--faults` plan that does not load exits the
+    /// process with status 2.
     pub fn from_args() -> Telemetry {
         let f = parse(std::env::args().skip(1)).unwrap_or_else(|e| usage_error(&e));
         if f.trace_path.is_some() {
@@ -176,7 +190,7 @@ impl Telemetry {
         if self.trace_path.is_some() || self.metrics_path.is_some() || self.perf_path.is_some() {
             1
         } else {
-            self.jobs.max(1)
+            self.jobs
         }
     }
 
@@ -262,6 +276,30 @@ mod tests {
     fn bare_faults_is_an_error() {
         let err = parse(strings(&["--jobs", "2", "--faults"])).err();
         assert_eq!(err.as_deref(), Some("--faults needs a plan path"));
+    }
+
+    #[test]
+    fn flags_without_a_value_are_errors() {
+        for flag in ["--trace", "--metrics-json", "--perf-json"] {
+            let want = format!("{flag} needs an output path");
+            for args in [vec![flag], vec![flag, "--jobs", "2"]] {
+                assert_eq!(parse(strings(&args)).err(), Some(want.clone()), "{args:?}");
+            }
+            let eq = format!("{flag}=");
+            assert_eq!(parse(strings(&[&eq])).err(), Some(want));
+        }
+        let err = parse(strings(&["--jobs"])).err();
+        assert_eq!(err.as_deref(), Some("--jobs needs a worker count"));
+    }
+
+    #[test]
+    fn jobs_must_be_a_positive_integer() {
+        for bad in ["abc", "0", "-1", "2.5"] {
+            let want = format!("--jobs {bad}: not a positive worker count");
+            assert_eq!(parse(strings(&["--jobs", bad])).err(), Some(want.clone()));
+            let eq = format!("--jobs={bad}");
+            assert_eq!(parse(strings(&[&eq])).err(), Some(want));
+        }
     }
 
     #[test]

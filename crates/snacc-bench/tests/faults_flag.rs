@@ -1,6 +1,7 @@
-//! A `--faults` plan that cannot be used is a command-line error: the bin
-//! prints one `error: --faults …` line and exits with status 2, before
-//! any simulation runs and without a panic.
+//! A `--faults` plan that cannot be used, a flag given without its value
+//! and a `--jobs` that is not a positive integer are command-line errors:
+//! the bin prints one `error: --<flag> …` line and exits with status 2,
+//! before any simulation runs and without a panic.
 
 use std::path::Path;
 use std::process::Command;
@@ -22,14 +23,14 @@ fn run(args: &[&str], dir: &Path) -> (Option<i32>, String, String) {
     )
 }
 
-fn assert_usage_error(args: &[&str], dir: &Path, detail: &str) {
+fn assert_usage_error(args: &[&str], dir: &Path, flag: &str, detail: &str) {
     let (code, stdout, stderr) = run(args, dir);
     assert_eq!(code, Some(2), "{args:?}: exit status\n{stderr}");
     assert_eq!(stdout, "", "{args:?}: printed results");
     let lines: Vec<&str> = stderr.lines().collect();
     assert_eq!(lines.len(), 1, "{args:?}: one error line\n{stderr}");
     assert!(
-        lines[0].starts_with("error: --faults ") && lines[0].contains(detail),
+        lines[0].starts_with(&format!("error: {flag} ")) && lines[0].contains(detail),
         "{args:?}: {stderr}"
     );
 }
@@ -42,9 +43,33 @@ fn unusable_fault_plans_exit_with_status_2() {
     std::fs::write(&invalid, "seed = 1\n[nvme]\nerror_rate = 2.5\n").expect("write plan");
     let invalid = invalid.to_str().expect("utf8 path");
 
-    assert_usage_error(&["--faults", "no-such-plan.toml"], &dir, "cannot read");
-    assert_usage_error(&[&format!("--faults={invalid}")], &dir, "invalid");
-    assert_usage_error(&["--faults", invalid], &dir, "invalid");
-    assert_usage_error(&["--faults"], &dir, "needs a plan path");
+    let f = "--faults";
+    assert_usage_error(&[f, "no-such-plan.toml"], &dir, f, "cannot read");
+    assert_usage_error(&[&format!("{f}={invalid}")], &dir, f, "invalid");
+    assert_usage_error(&[f, invalid], &dir, f, "invalid");
+    assert_usage_error(&[f], &dir, f, "needs a plan path");
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+}
+
+#[test]
+fn flags_without_values_and_bad_jobs_exit_with_status_2() {
+    let dir = std::env::temp_dir().join(format!("snacc-usage-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    for flag in ["--trace", "--metrics-json", "--perf-json"] {
+        assert_usage_error(&[flag], &dir, flag, "needs an output path");
+    }
+    assert_usage_error(
+        &["--trace", "--jobs", "1"],
+        &dir,
+        "--trace",
+        "needs an output path",
+    );
+    assert_usage_error(&["--jobs"], &dir, "--jobs", "needs a worker count");
+    for bad in [&["--jobs", "abc"][..], &["--jobs=x"], &["--jobs", "0"]] {
+        assert_usage_error(bad, &dir, "--jobs", "not a positive worker count");
+    }
+    // Nothing ran, so nothing was written.
+    let left = std::fs::read_dir(&dir).expect("read scratch dir").count();
+    assert_eq!(left, 0, "a rejected run wrote files");
     std::fs::remove_dir_all(&dir).expect("remove scratch dir");
 }
